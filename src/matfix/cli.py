@@ -162,6 +162,7 @@ def _cmd_solve(args) -> tuple[dict, list[str], int]:
             "converged": report.converged,
             "iterations": report.iterations,
             "residual_norm": report.residual_norm,
+            "rate": report.rate,
             "history": list(report.history),
             "X": matrix_to_obj(report.X),
         }

@@ -56,28 +56,20 @@ def eig_extremes(H: Array) -> tuple[float, float]:
     return float(w[0]), float(w[-1])
 
 
-def default_pd_tolerance(H: Array) -> float:
-    """Default positive-definiteness tolerance n*eps*lambda_max (floored at 0)."""
-    n = np.asarray(H).shape[0]
-    if n == 0:
-        return 0.0
-    _, lam_max = eig_extremes(H)
-    return n * _EPS * max(lam_max, 0.0)
-
-
 def is_positive_definite(H: Array, tol: float | None = None) -> bool:
     """True iff lambda_min(H) > tol.
 
-    ``tol`` defaults to n*eps*lambda_max(H).  Eigenvalues are used rather
-    than a Cholesky attempt so the same eigen data serves the scalar bound
-    sequences downstream.
+    ``tol`` defaults to n*eps*lambda_max(H) (floored at 0); both extremes
+    come from one eigenvalue call.  This is the entry test for data (Q, x0,
+    a candidate solution); solver iterates are guarded by their Cholesky
+    factorization instead.
     """
     H = np.asarray(H)
     if H.size == 0:
         return True
+    lam_min, lam_max = eig_extremes(H)
     if tol is None:
-        tol = default_pd_tolerance(H)
-    lam_min, _ = eig_extremes(H)
+        tol = H.shape[0] * _EPS * max(lam_max, 0.0)
     return lam_min > tol
 
 

@@ -3,8 +3,14 @@
 The map F(Y) = Q + sum(Ai* Y^-1 Ai) has a unique positive definite fixed
 point for any positive definite Q, and the iteration X_k = F(X_{k-1})
 converges from every positive definite start.  Convergence here is declared
-on the equation residual ||F(X_k) - X_k|| in the spectral norm, which is the
-quantity the returned report carries per iteration.
+on the Hermitian-part residual ||herm(F(X_k)) - X_k|| in the spectral norm,
+which is the quantity the returned report carries per iteration.
+
+Each Hermitian iterate is factored once, X = L L*.  The factorization is the
+positive definiteness guard, and with Gi = L^-1 Ai it gives
+F(X) = Q + sum(Gi* Gi), so every iterate is Q plus a positive semidefinite
+term.  Q itself is certified at entry by the eigenvalue test of
+:func:`linalg.is_positive_definite`.
 """
 
 from __future__ import annotations
@@ -81,6 +87,18 @@ class SolveReport:
     converged: bool
     history: tuple[float, ...] = field(default_factory=tuple)
 
+    @property
+    def rate(self) -> float | None:
+        """Observed contraction rate: the median ratio of consecutive
+        ``history`` entries, or ``None`` with fewer than 3 entries."""
+        if len(self.history) < 3:
+            return None
+        h = np.asarray(self.history)
+        # np.median would import numpy.ma (about 2 MB resident) on first use
+        ratios = np.sort(h[1:] / h[:-1])
+        mid = len(ratios) // 2
+        return float((ratios[mid] + ratios[~mid]) / 2)
+
 
 def validate(instance: EquationInstance) -> None:
     """Check all structural invariants, reporting every violation at once.
@@ -125,11 +143,33 @@ def _initial_iterate(instance: EquationInstance, settings: SolveSettings) -> Arr
 
 
 def _apply_map(instance: EquationInstance, X: Array) -> Array:
-    """F(X) = Q + sum(Ai* X^-1 Ai)."""
+    """F(X) = Q + sum(Ai* X^-1 Ai) for any nonsingular X (LU solves)."""
     out = instance.Q.astype(complex).copy()
     for Ai in instance.A:
         out = out + Ai.conj().T @ np.linalg.solve(X, Ai)
     return out
+
+
+def _hermitian_map(instance: EquationInstance, X: Array) -> Array:
+    """herm(F(X)) for Hermitian X from one Cholesky factor X = L L*.
+
+    With Gi = L^-1 Ai, solved for all i at once, the map is Q + sum(Gi* Gi);
+    stacking the Gi vertically turns the sum into one product.  Raises
+    ``np.linalg.LinAlgError`` when X is not numerically positive definite.
+    """
+    n, m = instance.n, instance.m
+    L = np.linalg.cholesky(X)
+    G = np.linalg.solve(L, np.hstack(instance.A))
+    G = G.reshape(n, m, n).transpose(1, 0, 2).reshape(m * n, n)
+    return linalg.hermitian_part(instance.Q + G.conj().T @ G)
+
+
+def _hermitian_norm(H: Array) -> float:
+    """Spectral norm of an exactly Hermitian matrix from its eigenvalue extremes."""
+    if H.size == 0:
+        return 0.0
+    lam_min, lam_max = linalg.eig_extremes(H)
+    return max(-lam_min, lam_max)
 
 
 def solve(
@@ -140,11 +180,14 @@ def solve(
 ) -> SolveReport:
     """Run the fixed-point iteration until the equation residual drops below tol.
 
-    Each Hermitian iterate is re-symmetrized through
-    :func:`linalg.hermitian_part` so conjugate symmetry is structural.  With
+    Each Hermitian iterate is factored once by Cholesky; the factor is the
+    positive definiteness guard and serves all m solves of the map, and the
+    iterate X_k = herm(F(X_{k-1})) is Hermitian by storage.  The residual is
+    the Hermitian-part residual ||herm(F(X_k)) - X_k||, whose spectral norm
+    comes from the eigenvalue extremes of that Hermitian difference.  With
     ``allow_nonhermitian`` the validation, re-symmetrization and positive
-    definiteness guards are all skipped and the raw iteration is applied to
-    the matrices exactly as given.
+    definiteness guards are all skipped and the raw iteration (LU solves,
+    singular-value residual norm) is applied to the matrices exactly as given.
 
     Returns a report with ``converged=False`` (rather than raising) when the
     iteration cap is hit; raises :class:`SingularIterate` if an iterate stops
@@ -157,26 +200,28 @@ def solve(
         validate(instance)
 
     X = _initial_iterate(instance, settings)
-    if not allow_nonhermitian:
+    if allow_nonhermitian:
+        apply_map, norm, breakdown = _apply_map, linalg.spectral_norm, "is singular"
+    else:
         X = linalg.hermitian_part(X)
         if not linalg.is_positive_definite(X):
             raise NotPositiveDefinite("starting matrix X0 must be positive definite")
+        apply_map, norm = _hermitian_map, _hermitian_norm
+        breakdown = "lost positive definiteness"
 
-    try:
-        FX = _apply_map(instance, X)
-    except np.linalg.LinAlgError as exc:
-        raise SingularIterate(f"starting matrix is singular: {exc}") from exc
+    def step(X: Array, k: int) -> Array:
+        try:
+            return apply_map(instance, X)
+        except np.linalg.LinAlgError as exc:
+            what = "starting matrix" if k == 0 else f"iterate {k}"
+            raise SingularIterate(f"{what} {breakdown}") from exc
 
+    FX = step(X, 0)
     history: list[float] = []
     for k in range(1, settings.max_iter + 1):
-        X = linalg.hermitian_part(FX) if not allow_nonhermitian else FX
-        if not allow_nonhermitian and not linalg.is_positive_definite(X):
-            raise SingularIterate(f"iterate {k} lost positive definiteness")
-        try:
-            FX = _apply_map(instance, X)
-        except np.linalg.LinAlgError as exc:
-            raise SingularIterate(f"iterate {k} is singular: {exc}") from exc
-        res = linalg.spectral_norm(FX - X)
+        X = FX
+        FX = step(X, k)
+        res = norm(FX - X)
         history.append(res)
         if res < settings.tol:
             return SolveReport(
@@ -196,17 +241,22 @@ def solve(
 
 
 def residual(instance: EquationInstance, X: Array) -> tuple[Array, float]:
-    """Residual R(X) = Q + sum(Ai* X^-1 Ai) - X and its spectral norm.
+    """Hermitian-part residual R(X) = herm(F(X)) - X and its spectral norm.
 
-    R is Hermitian by construction for Hermitian X; it is re-symmetrized to
-    keep that structural.  X must be positive definite.
+    R is Hermitian by storage, computed through the same Cholesky map as
+    :func:`solve`, so ``residual(instance, report.X)[1]`` measures what
+    ``report.residual_norm`` does.  X must be positive definite.
     """
     X = linalg.as_matrix(X, name="X")
     H = linalg.hermitian_part(X)
     if not linalg.is_positive_definite(H):
         raise NotPositiveDefinite("residual requires a positive definite X")
-    R = linalg.hermitian_part(_apply_map(instance, H) - H)
-    return R, linalg.spectral_norm(R)
+    try:
+        FH = _hermitian_map(instance, H)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"residual requires a positive definite X: {exc}") from exc
+    R = FH - H
+    return R, _hermitian_norm(R)
 
 
 def residual_raw(instance: EquationInstance, X: Array) -> tuple[Array, float]:

@@ -30,6 +30,7 @@ class TestSolveCommand:
         assert s["converged"] is True
         assert s["iterations"] == 11
         assert s["residual_norm"] == pytest.approx(4.8477e-11, rel=1e-3)
+        assert 0.0 < s["rate"] < 1.0
         assert doc["report"]["bounds"]["membership"]["scalar"] is True
         assert doc["schema_version"] == 1
 
@@ -57,6 +58,7 @@ class TestSolveCommand:
         )
         assert code == 2
         assert doc["report"]["solve"]["converged"] is False
+        assert doc["report"]["solve"]["rate"] is None
 
     def test_allow_nonhermitian(self, capsys):
         code, doc, _ = run_structured(

@@ -4,8 +4,10 @@ import pytest
 from matfix import (
     DimensionMismatch,
     EquationInstance,
+    MatfixError,
     NotHermitian,
     NotPositiveDefinite,
+    SingularIterate,
     SolveSettings,
     ValidationError,
     is_positive_definite,
@@ -141,6 +143,7 @@ class TestSolve:
         rep = solve(inst)
         assert rep.converged
         assert is_positive_definite(rep.X)
+        assert np.array_equal(rep.X, rep.X.conj().T)
 
     def test_explicit_x0_and_bad_shape(self):
         inst = benchmark_instance(1)
@@ -181,6 +184,62 @@ class TestSolve:
         assert rep.converged
         assert rep.X.dtype == complex
 
+    @pytest.mark.parametrize(
+        "k, tol, iterations",
+        [(1, 1e-10, 12), (2, 1e-10, 11), (3, 1e-10, 5), (1, 1e-13, 15), (2, 1e-13, 14), (3, 1e-13, 7)],
+    )
+    def test_benchmark_iteration_counts(self, k, tol, iterations):
+        rep = solve(benchmark_instance(k), SolveSettings(tol=tol, max_iter=2000))
+        assert rep.converged and rep.iterations == iterations
+
+    def test_factor_failure_is_singular_iterate(self, monkeypatch):
+        cholesky = np.linalg.cholesky
+        calls = []
+
+        def failing_cholesky(X):
+            calls.append(None)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(X)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+        with pytest.raises(SingularIterate, match="iterate 2 lost positive definiteness") as exc:
+            solve(benchmark_instance(1))
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+    def test_nearly_singular_q(self):
+        # contraction rate ~ 1 - 1e-12, so no convergence within the cap; the
+        # outcome is a named error or an HPD iterate, never a bare LinAlgError
+        inst = EquationInstance(A=[0.1 * np.eye(5)], Q=np.diag([1e-12, 1, 1, 1, 1]))
+        try:
+            rep = solve(inst, SolveSettings(max_iter=200))
+        except MatfixError:
+            return
+        assert np.isfinite(rep.history).all()
+        assert np.array_equal(rep.X, rep.X.conj().T)
+        assert np.linalg.eigvalsh(rep.X)[0] > 0
+        assert rep.converged == (rep.residual_norm < 1e-10)
+
+    def test_rate_slow_contraction(self):
+        rng = np.random.default_rng(0)
+        A = []
+        for _ in range(2):
+            G = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+            A.append(30.0 * G / np.linalg.norm(G, 2))
+        rep = solve(EquationInstance(A=A, Q=np.eye(6)), SolveSettings(max_iter=3000))
+        assert rep.converged
+        w, V = np.linalg.eigh(rep.X)
+        X_mhalf = (V / np.sqrt(w)) @ V.conj().T
+        assert 1.0 - np.linalg.eigvalsh(X_mhalf @ X_mhalf)[0] > 0.98  # Q = I
+        assert 0.8 < rep.rate < 1.0
+        h = np.asarray(rep.history)
+        assert rep.rate == np.median(h[1:] / h[:-1])
+
+    def test_rate_needs_three_residuals(self):
+        inst = benchmark_instance(1)
+        assert solve(inst, SolveSettings(max_iter=2)).rate is None
+        assert solve(inst, SolveSettings(max_iter=3)).rate is not None
+
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             SolveSettings(tol=0.0)
@@ -206,6 +265,13 @@ class TestResidual:
         inst = benchmark_instance(1)
         with pytest.raises(NotPositiveDefinite):
             residual(inst, -np.eye(5))
+
+    def test_matches_solver_residual(self, rng):
+        inst = make_random_instance(rng, n=12, m=3)
+        rep = solve(inst)
+        _, norm = residual(inst, rep.X)
+        eps = np.finfo(float).eps
+        assert abs(norm - rep.residual_norm) <= 100 * 12 * eps * spectral_norm(rep.X)
 
     def test_converged_residual_below_tol(self, rng):
         inst = make_random_instance(rng)
