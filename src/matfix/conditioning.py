@@ -10,6 +10,11 @@ xi, is the condition number:
   S_r = (I + sum(kron(C_i, C_i)))^-1 and U_i = S_r(kron(I, C_i) + kron(C_i, I) Pi)
   for C_i = A_i^T X^-1.
 
+The products of L^-1 (or S_r) with the Kronecker factors run through the
+O(n^5) structured products of :mod:`matfix.operators`, never through dense
+n^2 x n^2 matmuls, and each block is written straight into its slice of the
+preallocated block row.
+
 Absolute mode uses unit weights; relative mode uses Frobenius norms of the
 data (eta_i = ||A_i||_F, rho = ||Q||_F, xi = ||X||_F).
 
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotReal
-from .operators import OperatorBundle
+from .operators import OperatorBundle, _structured_products
 from .solver import EquationInstance, SolveSettings, solve
 
 Array = np.ndarray
@@ -65,23 +70,24 @@ def cond_complex(
     of (vec dQ, vec dA_1, ..., vec dA_m); its spectral norm divided by xi is
     the condition number.
     """
-    n = instance.n
+    N = instance.n ** 2
     xi, rho, etas = _weights(instance, X, mode)
     Linv = linalg.inverse(bundle.L_rep)
-    P = linalg.vec_permutation(n)
-    eye = np.eye(n)
 
-    S, Sig = Linv.real, Linv.imag
-    Sc = np.block([[S, -Sig], [Sig, S]])
-    blocks = [rho * Sc]
+    assembled = np.empty((2 * N, 2 * N * (bundle.m + 1)))
+    Sc = assembled[:, : 2 * N]
+    Sc[:N, :N] = Sc[N:, N:] = Linv.real
+    Sc[N:, :N] = Linv.imag
+    np.negative(Linv.imag, out=Sc[:N, N:])
+    Sc *= rho
     for i, Bi in enumerate(bundle.B):
-        M1 = Linv @ linalg.kron(eye, Bi.conj().T)
-        M2 = Linv @ linalg.kron(Bi.T, eye) @ P
-        U1, O1 = M1.real, M1.imag
-        U2, O2 = M2.real, M2.imag
-        Ui = np.block([[U1 + U2, O2 - O1], [O1 + O2, U1 - U2]])
-        blocks.append(etas[i] * Ui)
-    assembled = np.hstack(blocks)
+        M1, M2 = _structured_products(Linv, Bi)
+        Ui = assembled[:, 2 * N * (i + 1) : 2 * N * (i + 2)]
+        np.add(M1.real, M2.real, out=Ui[:N, :N])
+        np.subtract(M2.imag, M1.imag, out=Ui[:N, N:])
+        np.add(M1.imag, M2.imag, out=Ui[N:, :N])
+        np.subtract(M1.real, M2.real, out=Ui[N:, N:])
+        Ui *= etas[i]
     return ConditionReport(
         mode=mode,
         case="complex",
@@ -121,17 +127,17 @@ def cond_real(
 
     xi, rho, etas = _weights(instance, Xr, mode)
     Xinv = linalg.inverse(Xr).real
-    P = linalg.vec_permutation(n)
-    eye = np.eye(n)
 
+    N = n * n
     Cs = [Ai.T @ Xinv for Ai in As]
-    Lr = np.eye(n * n) + sum(linalg.kron(C, C) for C in Cs)
+    Lr = np.eye(N) + sum(linalg.kron(C, C) for C in Cs)
     Sr = linalg.inverse(Lr).real
-    blocks = [rho * Sr]
+    assembled = np.empty((N, N * (len(Cs) + 1)))
+    np.multiply(Sr, rho, out=assembled[:, :N])
     for i, C in enumerate(Cs):
-        Ui = Sr @ (linalg.kron(eye, C) + linalg.kron(C, eye) @ P)
-        blocks.append(etas[i] * Ui)
-    assembled = np.hstack(blocks)
+        Ui = assembled[:, N * (i + 1) : N * (i + 2)]
+        np.add(*_structured_products(Sr, C.T), out=Ui)
+        Ui *= etas[i]
     return ConditionReport(
         mode=mode,
         case="real",

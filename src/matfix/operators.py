@@ -9,9 +9,14 @@ The operators P_i map Z to L^-1(B_i* Z + Z* B_i); their representations are
 
     P_i_rep = L_rep^-1 (kron(I, B_i*) + kron(B_i^T, I) Pi),
 
-with Pi the vec-permutation.  The scalar surrogates bundled here are the
+with Pi the vec-permutation.  Neither Kronecker factor is formed as a
+matrix: kron(I, B_i*) is block diagonal and kron(B_i^T, I) Pi only
+rearranges entries, so both products with L_rep^-1 are batched n x n
+products on L_rep^-1 reshaped to (n^2, n, n), O(n^5) instead of the O(n^6)
+of dense n^2 x n^2 matmuls (see :func:`_structured_products`, shared with
+the condition numbers).  The scalar surrogates bundled here are the
 ingredients of the operator-based perturbation bound and the condition
-numbers:
+numbers, all spectral norms computed by :func:`matfix.linalg.spectral_norm`:
 
 * ``l``        reciprocal of the spectral norm of L_rep.  This lower-bounds
                the true inverse-operator norm surrogate ||L^-1||^-1 in any
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import SingularOperator
+from .errors import SingularMatrix, SingularOperator
 from .solver import EquationInstance
 
 Array = np.ndarray
@@ -48,7 +53,9 @@ class OperatorBundle:
     theta_is: tuple[float, ...]
     theta: float
     zeta: float
-    norm_kind: str = field(default="reciprocal-spectral(L), spectral(P_i) on vec representations")
+    norm_kind: str = field(
+        default="dense-exact: reciprocal spectral(L), spectral(P_i) via scaled Gram eigenvalue"
+    )
 
     @property
     def m(self) -> int:
@@ -67,6 +74,20 @@ def l_representation(B: tuple[Array, ...], n: int) -> Array:
     return L
 
 
+def _structured_products(L_inv: Array, B: Array) -> tuple[Array, Array]:
+    """L_inv @ kron(I, B*) and L_inv @ kron(B^T, I) @ Pi without forming either factor.
+
+    Row s of L_inv, read as the n x n matrix R_s with entry (j, p) at column
+    j*n + p, maps to R_s B* under the block-diagonal kron(I, B*) and to
+    R_s^T B^T under kron(B^T, I) Pi, both read back the same way.
+    """
+    N, n = L_inv.shape[0], B.shape[0]
+    return (
+        (L_inv.reshape(N * n, n) @ B.conj().T).reshape(N, N),
+        (L_inv.reshape(N, n, n).transpose(0, 2, 1) @ B.T).reshape(N, N),
+    )
+
+
 def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
     """Assemble operator representations and scalar surrogates at the solution X.
 
@@ -80,8 +101,12 @@ def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
     B = tuple(Xinv @ Ai for Ai in instance.A)
 
     L_rep = l_representation(B, n)
-    sv = np.linalg.svd(L_rep, compute_uv=False)
-    s_max, s_min = float(sv[0]), float(sv[-1])
+    s_max = linalg.spectral_norm(L_rep)
+    try:
+        L_inv = linalg.inverse(L_rep)
+        s_min = 1.0 / linalg.spectral_norm(L_inv)
+    except SingularMatrix:  # the inverse failed or is not finite
+        s_min = 0.0
     if s_min <= n * n * np.finfo(float).eps * s_max:
         raise SingularOperator(
             f"L representation singular to working precision (s_min={s_min:.3e}); "
@@ -90,12 +115,7 @@ def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
     # trace(L_rep) >= n^2 forces ||L_rep|| >= 1, so l <= 1 <= 1 + theta.
     l = 1.0 / s_max
 
-    L_inv = linalg.inverse(L_rep)
-    P = linalg.vec_permutation(n)
-    eye = np.eye(n)
-    Pi_reps = tuple(
-        L_inv @ (linalg.kron(eye, Bi.conj().T) + linalg.kron(Bi.T, eye) @ P) for Bi in B
-    )
+    Pi_reps = tuple(np.add(*_structured_products(L_inv, Bi)) for Bi in B)
     n_ops = tuple(linalg.spectral_norm(Pi) for Pi in Pi_reps)
     theta_is = tuple(linalg.spectral_norm(Bi) for Bi in B)
     theta = float(sum(t * t for t in theta_is))

@@ -6,6 +6,7 @@ import pytest
 from matfix.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +182,15 @@ class TestReproduceCommand:
             assert rows[k]["dominates"] is True
         assert rows["1"]["error"] == pytest.approx(5.0268e-4, rel=1e-3)
         assert rows["1"]["bound"] == pytest.approx(5.1435e-4, rel=1e-3)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_text_byte_identical_to_golden(self, capsys, monkeypatch, k):
+        # the published tables are the output contract: every printed digit
+        # and the exit code must stay as recorded in tests/goldens/
+        monkeypatch.delenv("MATFIX_SEED", raising=False)
+        code, out, _ = run_cli(capsys, "reproduce", str(k))
+        assert code == 0
+        assert out.encode() == (GOLDENS / f"reproduce_{k}.txt").read_bytes()
 
     def test_example4_values(self, capsys):
         code, doc, _ = run_structured(capsys, "reproduce", "4")

@@ -11,9 +11,11 @@ from matfix import (
     cond_real,
     first_order_delta,
     frobenius_norm,
+    inverse,
     PerturbationSpec,
     solve,
     spectral_norm,
+    vec_permutation,
 )
 from matfix.examples import benchmark_instance
 from matfix.reference_values import BENCHMARK4_CONDITION
@@ -43,6 +45,9 @@ class TestCondComplex:
         bundle = build_bundle(inst, X)
         rep = cond_complex(inst, X, bundle, "relative")
         assert rep.value * rep.xi == pytest.approx(spectral_norm(rep.assembled), rel=1e-12)
+        # spectral_norm is also what computes rep.value: check against an SVD too
+        s_max = np.linalg.svd(rep.assembled, compute_uv=False)[0]
+        assert rep.value * rep.xi == pytest.approx(s_max, rel=1e-12)
 
     def test_unitary_similarity_invariance(self, rng):
         from matfix import hermitian_part
@@ -141,6 +146,37 @@ class TestCondReal:
         X = solve_tight(inst)
         with pytest.raises(NotReal):
             cond_real(inst, X, "relative")
+
+
+class TestBlockRowAssembly:
+    """The in-place block rows against the textbook dense constructions."""
+
+    def test_complex_block_row(self, rng):
+        inst = make_random_instance(rng, n=3, m=2)
+        X = solve_tight(inst)
+        bundle = build_bundle(inst, X)
+        rep = cond_complex(inst, X, bundle, "relative")
+        Linv, P, eye = inverse(bundle.L_rep), vec_permutation(3), np.eye(3)
+        S, Sig = Linv.real, Linv.imag
+        blocks = [rep.rho * np.block([[S, -Sig], [Sig, S]])]
+        for eta, Bi in zip(rep.etas, bundle.B):
+            M1 = Linv @ np.kron(eye, Bi.conj().T)
+            M2 = Linv @ np.kron(Bi.T, eye) @ P
+            U1, O1, U2, O2 = M1.real, M1.imag, M2.real, M2.imag
+            blocks.append(eta * np.block([[U1 + U2, O2 - O1], [O1 + O2, U1 - U2]]))
+        assert np.abs(rep.assembled - np.hstack(blocks)).max() < 1e-13
+
+    def test_real_block_row(self, rng):
+        inst = real_instance(rng, n=3, m=2)
+        X = solve_tight(inst).real
+        rep = cond_real(inst, X, "relative")
+        Xinv, P, eye = np.linalg.inv(X), vec_permutation(3), np.eye(3)
+        Cs = [Ai.real.T @ Xinv for Ai in inst.A]
+        Sr = np.linalg.inv(np.eye(9) + sum(np.kron(C, C) for C in Cs))
+        blocks = [rep.rho * Sr]
+        for eta, C in zip(rep.etas, Cs):
+            blocks.append(eta * Sr @ (np.kron(eye, C) + np.kron(C, eye) @ P))
+        assert np.abs(rep.assembled - np.hstack(blocks)).max() < 1e-13
 
 
 class TestFdOracle:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from matfix import (
+    EigenSolverError,
     SingularMatrix,
     eig_extremes,
     frobenius_norm,
@@ -32,6 +33,39 @@ class TestSpectralNorm:
 
     def test_zero(self):
         assert spectral_norm(np.zeros((3, 4))) == 0.0
+
+    @pytest.mark.parametrize("shape", [(1, 1), (6, 6), (3, 8), (8, 3)])
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_matches_svd(self, rng, shape, complex_data):
+        for _ in range(5):
+            M = rng.standard_normal(shape)
+            if complex_data:
+                M = M + 1j * rng.standard_normal(shape)
+            expected = np.linalg.svd(M, compute_uv=False)[0]
+            assert spectral_norm(M) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 4), (4, 3)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_all_zero_matches_svd(self, shape, dtype):
+        M = np.zeros(shape, dtype=dtype)
+        assert spectral_norm(M) == np.linalg.svd(M, compute_uv=False)[0] == 0.0
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty(self, shape):
+        assert spectral_norm(np.zeros(shape)) == 0.0
+
+    @pytest.mark.parametrize("s", [1e160, 1e-160])
+    @pytest.mark.parametrize("shape", [(5, 5), (3, 7), (7, 3)])
+    def test_scale_covariance_at_extreme_scales(self, rng, s, shape):
+        # the squares of 1e160 entries overflow and those of 1e-160 entries
+        # underflow to subnormals unless the Gram matrix is formed after scaling
+        M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert spectral_norm(s * M) == pytest.approx(s * spectral_norm(M), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_raises_named_error(self, bad):
+        with pytest.raises(EigenSolverError, match="non-finite"):
+            spectral_norm(np.array([[bad, 1.0], [0.0, 1.0]]))
 
 
 class TestFrobeniusNorm:

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from matfix import EquationInstance, SingularOperator, build_bundle, hermitian_part, vec, unvec
-from matfix.operators import apply_l, solve_l
+from matfix import (
+    EquationInstance,
+    SingularOperator,
+    build_bundle,
+    hermitian_part,
+    inverse,
+    unvec,
+    vec,
+    vec_permutation,
+)
+from matfix.operators import _structured_products, apply_l, solve_l
 from tests.conftest import make_random_instance, solve_tight
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -131,6 +140,41 @@ class TestBuildBundle:
         X = solve_tight(inst)
         bundle = build_bundle(inst, X)
         assert "spectral" in bundle.norm_kind
+        assert bundle.norm_kind.startswith("dense-exact")
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_surrogates_match_svd(self, rng, n, complex_data):
+        inst = make_random_instance(rng, n=n, m=2, complex_data=complex_data)
+        bundle = build_bundle(inst, solve_tight(inst))
+        s_L = np.linalg.svd(bundle.L_rep, compute_uv=False)[0]
+        assert bundle.l == pytest.approx(1.0 / s_L, rel=1e-12)
+        for Pi, n_i in zip(bundle.Pi_reps, bundle.n_ops):
+            assert n_i == pytest.approx(np.linalg.svd(Pi, compute_uv=False)[0], rel=1e-12)
+
+
+class TestStructuredProducts:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_match_dense_kronecker_products(self, rng, n, complex_data):
+        def rmat(rows, cols):
+            M = rng.standard_normal((rows, cols))
+            return M + 1j * rng.standard_normal((rows, cols)) if complex_data else M
+
+        L_inv, B = rmat(n * n, n * n), rmat(n, n)
+        M1, M2 = _structured_products(L_inv, B)
+        eye = np.eye(n)
+        assert np.abs(M1 - L_inv @ np.kron(eye, B.conj().T)).max() < 1e-13
+        assert np.abs(M2 - L_inv @ np.kron(B.T, eye) @ vec_permutation(n)).max() < 1e-13
+        assert M1.dtype == M2.dtype == L_inv.dtype
+
+    def test_pi_reps_match_dense_build(self, rng):
+        inst = make_random_instance(rng, n=4, m=2)
+        bundle = build_bundle(inst, solve_tight(inst))
+        L_inv, eye, P = inverse(bundle.L_rep), np.eye(4), vec_permutation(4)
+        for Bi, Pi in zip(bundle.B, bundle.Pi_reps):
+            dense = L_inv @ (np.kron(eye, Bi.conj().T) + np.kron(Bi.T, eye) @ P)
+            assert np.abs(Pi - dense).max() < 1e-13
 
 
 class TestOperatorHelpers:
