@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 invalid input, 2 numerical non-convergence,
 3 analysis completed but at least one requested bound's feasibility
 condition failed.
 
-Structured output is a single JSON document carrying the schema version,
-the command echo, settings, wall clock, and per-module reports.  Text
-output contains no wall clock so identical inputs (and seed) render
+Structured output is a single JSON document on one compact line, carrying
+the schema version, the command echo, settings, wall clock, and per-module
+reports; the text rendering of matrices is built only for text output.
+Text output contains no wall clock so identical inputs (and seed) render
 identical bytes.
 """
 
@@ -135,14 +136,10 @@ def _fmt(x: float) -> str:
 
 def _matrix_lines(M, indent: str = "  ") -> list[str]:
     M = np.asarray(M)
-    lines = []
-    for row in M:
-        if np.iscomplexobj(M) and np.any(M.imag != 0.0):
-            cells = [f"{v.real:+.10e}{v.imag:+.10e}j" for v in row]
-        else:
-            cells = [f"{v.real:+.10e}" for v in row]
-        lines.append(indent + "  ".join(cells))
-    return lines
+    if np.iscomplexobj(M) and np.any(M.imag != 0.0):
+        return [indent + "  ".join(f"{re:+.10e}{im:+.10e}j" for re, im in zip(rr, ri))
+                for rr, ri in zip(M.real.tolist(), M.imag.tolist())]
+    return [indent + "  ".join(f"{v:+.10e}" for v in row) for row in M.real.tolist()]
 
 
 # ---------------------------------------------------------------- solve ----
@@ -171,7 +168,7 @@ def _cmd_solve(args) -> tuple[dict, list[str], int]:
         f"solve: converged={report.converged} iterations={report.iterations} "
         f"residual={_fmt(report.residual_norm)}",
         "X:",
-        *_matrix_lines(report.X),
+        *(_matrix_lines(report.X) if args.format == "text" else ()),
     ]
 
     if not args.allow_nonhermitian:
@@ -561,7 +558,7 @@ def main(argv=None) -> int:
             "exit_code": code,
             "report": payload,
         }
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report))
     else:
         for line in lines:
             print(line)

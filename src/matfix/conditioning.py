@@ -72,7 +72,7 @@ def cond_complex(
     """
     N = instance.n ** 2
     xi, rho, etas = _weights(instance, X, mode)
-    Linv = linalg.inverse(bundle.L_rep)
+    Linv = bundle.L_inv
 
     assembled = np.empty((2 * N, 2 * N * (bundle.m + 1)))
     Sc = assembled[:, : 2 * N]
@@ -126,12 +126,12 @@ def cond_real(
     As = [_require_real(Ai, f"A[{i}]", imag_tol) for i, Ai in enumerate(instance.A)]
 
     xi, rho, etas = _weights(instance, Xr, mode)
-    Xinv = linalg.inverse(Xr).real
+    Xinv = linalg.inverse(Xr)
 
     N = n * n
     Cs = [Ai.T @ Xinv for Ai in As]
     Lr = np.eye(N) + sum(linalg.kron(C, C) for C in Cs)
-    Sr = linalg.inverse(Lr).real
+    Sr = linalg.inverse(Lr)
     assembled = np.empty((N, N * (len(Cs) + 1)))
     np.multiply(Sr, rho, out=assembled[:, :N])
     for i, C in enumerate(Cs):

@@ -12,11 +12,18 @@ Instance document::
 same matrix objects under keys ``dQ`` and ``dA``, both optional (defaulting
 to zero).  Numbers round-trip at full double precision; parse errors name
 the offending field or line.
+
+A grid of rows is converted in one ``np.array`` call once a fast check has
+seen n lists of n entries, every entry a JSON number (``int`` or ``float``).
+Anything else, and an integer too large for a double, goes through the
+per-entry walk, which accepts exactly the same grids and raises the
+:class:`ParseError` naming the field, row or entry.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +35,25 @@ from .solver import EquationInstance
 Array = np.ndarray
 
 
+_JSON_NUMBERS = frozenset((int, float))
+
+
 def _grid(obj, n: int, where: str) -> Array:
+    if (
+        type(obj) is list
+        and len(obj) == n
+        and all(type(row) is list and len(row) == n for row in obj)
+        and set(map(type, chain.from_iterable(obj))) <= _JSON_NUMBERS
+    ):
+        try:
+            return np.array(obj, dtype=float)
+        except OverflowError:
+            pass  # an integer beyond the double range; the walk names it
+    return _grid_walk(obj, n, where)
+
+
+def _grid_walk(obj, n: int, where: str) -> Array:
+    """Entry-by-entry conversion of a grid; raises a ParseError naming the fault."""
     if not isinstance(obj, list) or len(obj) != n:
         raise ParseError(f"{where}: expected {n} rows, got {type(obj).__name__}"
                          f"{' of length ' + str(len(obj)) if isinstance(obj, list) else ''}")
@@ -37,10 +62,15 @@ def _grid(obj, n: int, where: str) -> Array:
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"{where}: row {r} has {len(row) if isinstance(row, list) else 'no'} "
                              f"entries, expected {n}")
+        values = []
         for c, v in enumerate(row):
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ParseError(f"{where}: entry ({r},{c}) is not a number")
-        rows.append([float(v) for v in row])
+            try:
+                values.append(float(v))
+            except OverflowError:
+                raise ParseError(f"{where}: entry ({r},{c}) is too large for a double") from None
+        rows.append(values)
     return np.array(rows)
 
 
@@ -114,9 +144,9 @@ def parse_delta(path, instance: EquationInstance) -> PerturbationSpec:
 
 def matrix_to_obj(M: Array) -> dict:
     M = np.asarray(M, dtype=complex)
-    obj = {"re": [[float(v) for v in row] for row in M.real]}
+    obj = {"re": M.real.tolist()}
     if np.any(M.imag != 0.0):
-        obj["im"] = [[float(v) for v in row] for row in M.imag]
+        obj["im"] = M.imag.tolist()
     return obj
 
 

@@ -147,10 +147,11 @@ def is_exactly_hermitian(M: Array) -> bool:
 def inverse(M: Array) -> Array:
     """Matrix inverse with a singularity diagnostic.
 
+    Real input is inverted in real arithmetic, complex input in complex.
     Raises :class:`SingularMatrix` carrying a 1-norm condition estimate when
     M is singular to working precision.
     """
-    M = np.asarray(M, dtype=complex)
+    M = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)
     n = M.shape[0]
     try:
         Minv = np.linalg.inv(M)

@@ -14,9 +14,12 @@ matrix: kron(I, B_i*) is block diagonal and kron(B_i^T, I) Pi only
 rearranges entries, so both products with L_rep^-1 are batched n x n
 products on L_rep^-1 reshaped to (n^2, n, n), O(n^5) instead of the O(n^6)
 of dense n^2 x n^2 matmuls (see :func:`_structured_products`, shared with
-the condition numbers).  The scalar surrogates bundled here are the
-ingredients of the operator-based perturbation bound and the condition
-numbers, all spectral norms computed by :func:`matfix.linalg.spectral_norm`:
+the condition numbers).  The bundle keeps L_rep^-1, which
+:func:`build_bundle` needs anyway, next to L_rep, so the condition numbers
+and the first-order change invert nothing again.  The scalar surrogates
+bundled here are the ingredients of the operator-based perturbation bound
+and the condition numbers, all spectral norms computed by
+:func:`matfix.linalg.spectral_norm`:
 
 * ``l``        reciprocal of the spectral norm of L_rep.  This lower-bounds
                the true inverse-operator norm surrogate ||L^-1||^-1 in any
@@ -47,6 +50,7 @@ Array = np.ndarray
 class OperatorBundle:
     B: tuple[Array, ...]
     L_rep: Array
+    L_inv: Array
     Pi_reps: tuple[Array, ...]
     l: float
     n_ops: tuple[float, ...]
@@ -123,6 +127,7 @@ def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
     return OperatorBundle(
         B=B,
         L_rep=L_rep,
+        L_inv=L_inv,
         Pi_reps=Pi_reps,
         l=l,
         n_ops=n_ops,
@@ -143,5 +148,5 @@ def apply_l(bundle: OperatorBundle, W: Array) -> Array:
 def solve_l(bundle: OperatorBundle, RHS: Array) -> Array:
     """Solve L(V) = RHS through the vec representation."""
     n = RHS.shape[0]
-    v = np.linalg.solve(bundle.L_rep, linalg.vec(RHS))
+    v = bundle.L_inv @ linalg.vec(RHS)
     return linalg.unvec(v, n)

@@ -279,5 +279,5 @@ def first_order_delta(bundle: OperatorBundle, spec: PerturbationSpec) -> Array:
     RHS = spec.dQ.astype(complex).copy()
     for Bi, Di in zip(bundle.B, spec.dA):
         RHS = RHS + Bi.conj().T @ Di + Di.conj().T @ Bi
-    v = np.linalg.solve(bundle.L_rep, linalg.vec(RHS))
+    v = bundle.L_inv @ linalg.vec(RHS)
     return linalg.hermitian_part(linalg.unvec(v, n))

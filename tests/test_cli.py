@@ -1,9 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from matfix import SolveSettings, solve
 from matfix.cli import main
+from matfix.fileio import parse_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -81,6 +84,23 @@ class TestSolveCommand:
             capsys, "solve", str(FIXTURES / "scalar.json"), "--x0", f"file:{p}",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("name", ["example1.json", "complex3.json", "scalar.json"])
+    def test_structured_x_round_trips_bit_exactly(self, capsys, name):
+        code, out, _ = run_cli(capsys, "solve", str(FIXTURES / name), "--format", "structured")
+        assert code == 0
+        assert out.count("\n") == 1  # one compact JSON line
+        obj = json.loads(out)["report"]["solve"]["X"]
+        X = np.array(obj["re"]) + 1j * np.array(obj.get("im", 0.0))
+        expected = solve(parse_instance(FIXTURES / name), SolveSettings(tol=1e-10)).X
+        assert np.array_equal(X, expected)
+
+    def test_integer_too_large_for_double_exit_1(self, capsys, tmp_path):
+        p = tmp_path / "huge.json"
+        p.write_text('{"n": 1, "m": 1, "Q": {"re": [[1]]}, "A": [{"re": [[1%s]]}]}' % ("0" * 400))
+        code, _, err = run_cli(capsys, "solve", str(p))
+        assert code == 1
+        assert "A[0].re: entry (0,0)" in err
 
     def test_bad_x0_spec(self, capsys):
         code, _, err = run_cli(
@@ -199,3 +219,19 @@ class TestReproduceCommand:
         assert rows["1"]["c_rel"] == pytest.approx(1.2704, rel=2e-2)
         assert rows["9"]["c_rel"] == pytest.approx(1.0938, rel=2e-2)
         assert rows["1"]["substituted_symmetrized_q"] is False
+
+
+class TestTextGoldens:
+    # recorded before the CLI's output paths were sped up; every byte must stay
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["solve", "example1.json"], "solve_example1.txt"),
+            (["analyze", "example1.json", "delta_j7.json"], "analyze_example1_delta_j7.txt"),
+        ],
+    )
+    def test_solve_analyze_text_byte_identical_to_golden(self, capsys, argv, golden):
+        command, *files = argv
+        code, out, _ = run_cli(capsys, command, *(str(FIXTURES / f) for f in files))
+        assert code == 0
+        assert out.encode() == (GOLDENS / golden).read_bytes()

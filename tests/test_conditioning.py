@@ -24,6 +24,36 @@ from tests.conftest import make_random_instance, solve_tight
 GOLDEN = (1 + np.sqrt(5)) / 2
 
 
+class TestInverseReuse:
+    def test_cond_complex_inverts_nothing(self, rng, monkeypatch):
+        # the block row reads L^-1 from the bundle; build_bundle inverted L once
+        inst = make_random_instance(rng, n=3, m=2)
+        X = solve_tight(inst)
+        bundle = build_bundle(inst, X)
+        expected = cond_complex(inst, X, bundle, "relative").value
+
+        def refuse(M):
+            raise AssertionError("cond_complex inverted a matrix")
+
+        monkeypatch.setattr("matfix.linalg.inverse", refuse)
+        monkeypatch.setattr("numpy.linalg.inv", refuse)
+        assert cond_complex(inst, X, bundle, "relative").value == expected
+
+    def test_cond_real_inverts_in_real_arithmetic(self, rng, monkeypatch):
+        inst = real_instance(rng, n=3, m=2)
+        X = solve_tight(inst).real
+        seen = []
+        original = inverse
+
+        def record(M):
+            seen.append(np.asarray(M).dtype)
+            return original(M)
+
+        monkeypatch.setattr("matfix.linalg.inverse", record)
+        cond_real(inst, X, "relative")
+        assert seen == [np.float64, np.float64]  # X^-1, then (I + sum kron(C_i, C_i))^-1
+
+
 def real_instance(rng, n=3, m=2, coeff_scale=0.5):
     return make_random_instance(rng, n=n, m=m, coeff_scale=coeff_scale, complex_data=False)
 

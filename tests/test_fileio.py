@@ -6,6 +6,9 @@ import pytest
 
 from matfix import ParseError
 from matfix.fileio import (
+    _grid,
+    _grid_walk,
+    matrix_to_obj,
     parse_delta,
     parse_instance,
     parse_single_matrix,
@@ -113,3 +116,69 @@ class TestDefaults:
         p = tmp_path / "m.json"
         p.write_text(json.dumps({"re": [[1.0]], "im": [[2.0]]}))
         assert parse_single_matrix(p)[0, 0] == 1.0 + 2.0j
+
+
+class TestGridFastPath:
+    """The one-call fast path and the per-entry walk agree on every grid."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1.5, -2.0], [0.0, 3.25]],
+            [[1, -2], [0, 3]],  # ints
+            [[1, 2.5], [-0.0, 7]],  # ints mixed with floats
+            [[2**53 + 1, -(2**64) - 1], [10**300, 3]],  # ints rounded to doubles
+            [[float("nan"), 1.0], [2.0, float("inf")]],  # NaN and Infinity literals
+        ],
+    )
+    def test_same_array(self, rows):
+        fast, walk = _grid(rows, 2, "Q.re"), _grid_walk(rows, 2, "Q.re")
+        assert fast.dtype == walk.dtype == np.float64
+        assert np.array_equal(fast, walk, equal_nan=True)
+        assert fast.tobytes() == walk.tobytes()
+
+    def test_random_entries_bit_identical(self):
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((7, 7)) * 10.0 ** rng.integers(-300, 300, (7, 7))
+        rows = M.tolist()
+        rows[2][5] = int(rng.integers(-(2**62), 2**62))
+        assert _grid(rows, 7, "x").tobytes() == _grid_walk(rows, 7, "x").tobytes()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1.0, 0.0], [0.0]], "Q.re: row 1 has 1 entries, expected 2"),  # ragged
+            ([[1.0, 0.0]], "Q.re: expected 2 rows, got list of length 1"),
+            ({"a": 1}, "Q.re: expected 2 rows, got dict"),
+            ([[1.0, True], [0.0, 1.0]], r"Q.re: entry \(0,1\) is not a number"),  # bool
+            ([[1.0, 0.0], ["0", 1.0]], r"Q.re: entry \(1,0\) is not a number"),  # string
+            ([[1.0, 0.0], [0.0, [1.0]]], r"Q.re: entry \(1,1\) is not a number"),  # nested
+            ([[1.0, 0.0], [0.0, None]], r"Q.re: entry \(1,1\) is not a number"),
+            ([[1.0, 0.0], [0.0, 10**400]], r"Q.re: entry \(1,1\) is too large for a double"),
+        ],
+    )
+    def test_same_parse_error(self, rows, message):
+        with pytest.raises(ParseError, match=message) as fast:
+            _grid(rows, 2, "Q.re")
+        with pytest.raises(ParseError) as walk:
+            _grid_walk(rows, 2, "Q.re")
+        assert str(fast.value) == str(walk.value)
+
+    def test_integer_too_large_for_double_names_entry(self, tmp_path):
+        p = tmp_path / "x.json"
+        p.write_text('{"n": 2, "m": 1, "Q": {"re": [[1, 0], [0, 1]]},'
+                     ' "A": [{"re": [[0, 0], [0, 0]], "im": [[0, 0], [-1%s, 0]]}]}' % ("0" * 400))
+        with pytest.raises(ParseError, match=r"A\[0\]\.im: entry \(1,0\) is too large"):
+            parse_instance(p)
+
+
+class TestMatrixToObj:
+    def test_plain_floats_bit_identical(self):
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        obj = matrix_to_obj(M)
+        assert all(type(v) is float for row in obj["re"] + obj["im"] for v in row)
+        assert np.array_equal(np.array(obj["re"]) + 1j * np.array(obj["im"]), M)
+
+    def test_real_matrix_has_no_im(self):
+        assert matrix_to_obj(np.eye(2)) == {"re": [[1.0, 0.0], [0.0, 1.0]]}

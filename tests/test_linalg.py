@@ -223,6 +223,18 @@ class TestInverse:
         with pytest.raises(SingularMatrix):
             inverse(np.zeros((3, 3)))
 
+    def test_real_input_stays_real(self, rng):
+        M = rng.standard_normal((6, 6)) + 6 * np.eye(6)
+        Minv = inverse(M)
+        assert Minv.dtype == np.float64
+        assert np.array_equal(Minv, np.linalg.inv(M))
+        assert inverse(np.array([[2, 0], [0, 4]])).dtype == np.float64
+
+    def test_complex_input_stays_complex(self, rng):
+        M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) + 4 * np.eye(4)
+        assert inverse(M).dtype == np.complex128
+        assert inverse(M.real.astype(complex)).dtype == np.complex128
+
     def test_near_singular_carries_estimate(self):
         M = np.diag([1.0, 1e-300])
         with pytest.raises(SingularMatrix) as exc:

@@ -176,6 +176,13 @@ class TestStructuredProducts:
             dense = L_inv @ (np.kron(eye, Bi.conj().T) + np.kron(Bi.T, eye) @ P)
             assert np.abs(Pi - dense).max() < 1e-13
 
+    def test_l_inv_is_inverse_of_l_rep(self, rng):
+        inst = make_random_instance(rng, n=4, m=2)
+        bundle = build_bundle(inst, solve_tight(inst))
+        assert bundle.L_inv.shape == (16, 16)
+        assert np.array_equal(bundle.L_inv, inverse(bundle.L_rep))
+        assert bundle.n == 4
+
 
 class TestOperatorHelpers:
     def test_apply_and_solve_roundtrip(self, rng):

@@ -10,8 +10,11 @@ from matfix import (
     feasibility_table,
     first_order_delta,
     frobenius_norm,
+    hermitian_part,
     scalar_bounds,
     spectral_norm,
+    unvec,
+    vec,
     xi1,
     xi2,
     xi3,
@@ -243,6 +246,16 @@ class TestFirstOrderDelta:
         bundle = build_bundle(inst, X)
         dX = first_order_delta(bundle, PerturbationSpec.zero(inst))
         assert np.allclose(dX, 0.0)
+
+    def test_matches_lu_solve(self):
+        inst = benchmark_instance(2)
+        X = solve_tight(inst)
+        bundle = build_bundle(inst, X)
+        spec = benchmark2_deterministic_deltas(6)
+        RHS = spec.dQ + sum(Bi.conj().T @ Di + Di.conj().T @ Bi for Bi, Di in zip(bundle.B, spec.dA))
+        expected = hermitian_part(unvec(np.linalg.solve(bundle.L_rep, vec(RHS)), inst.n))
+        dX = first_order_delta(bundle, spec)
+        assert np.abs(dX - expected).max() <= 1e-14 * np.abs(expected).max()
 
     def test_scalar_expansion(self):
         inst, sb, X, bundle = scalar_setup()
