@@ -122,9 +122,12 @@ def _parse_x0(arg: str):
         return 1.0
     if arg.startswith("scale:"):
         try:
-            return float(arg.split(":", 1)[1])
+            c = float(arg.split(":", 1)[1])
         except ValueError as exc:
             raise ParseError(f"--x0 scale factor is not a number: {arg!r}") from exc
+        if not 0.0 < c < float("inf"):
+            raise ParseError(f"--x0 scale factor must be finite and positive: {arg!r}")
+        return c
     if arg.startswith("file:"):
         return parse_single_matrix(arg.split(":", 1)[1])
     raise ParseError(f"--x0 must be q | identity | scale:<c> | file:<path>, got {arg!r}")
@@ -160,6 +163,7 @@ def _cmd_solve(args) -> tuple[dict, list[str], int]:
             "iterations": report.iterations,
             "residual_norm": report.residual_norm,
             "rate": report.rate,
+            "newton_steps": report.newton_steps,
             "history": list(report.history),
             "X": matrix_to_obj(report.X),
         }

@@ -139,10 +139,7 @@ def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
 
 def apply_l(bundle: OperatorBundle, W: Array) -> Array:
     """L acting directly on a matrix: W + sum(B_i* W B_i)."""
-    out = np.asarray(W, dtype=complex).copy()
-    for Bi in bundle.B:
-        out = out + Bi.conj().T @ W @ Bi
-    return out
+    return linalg.apply_l(bundle.B, W)
 
 
 def solve_l(bundle: OperatorBundle, RHS: Array) -> Array:

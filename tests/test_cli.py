@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +111,67 @@ class TestSolveCommand:
             capsys, "solve", str(FIXTURES / "scalar.json"), "--x0", "bogus",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("factor", ["inf", "nan", "1e400", "0", "-1"])
+    def test_x0_scale_must_be_finite_and_positive(self, capsys, factor):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(
+                capsys, "solve", str(FIXTURES / "scalar.json"), "--x0", f"scale:{factor}",
+            )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --x0 scale factor must be finite and positive: 'scale:{factor}'\n"
+
+    def test_newton_steps_reported(self, capsys, tmp_path):
+        rng = np.random.default_rng(3)
+        A = []
+        for _ in range(2):
+            G = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+            A.append(30.0 * G / np.linalg.norm(G, 2))
+        p = tmp_path / "slow.json"
+        p.write_text(json.dumps({
+            "n": 8, "m": 2, "Q": {"re": np.eye(8).tolist()},
+            "A": [{"re": Ai.real.tolist(), "im": Ai.imag.tolist()} for Ai in A],
+        }))
+        code, doc, _ = run_structured(capsys, "solve", str(p))
+        assert code == 0
+        s = doc["report"]["solve"]
+        assert s["newton_steps"] > 0
+        assert s["iterations"] == len(s["history"])
+        code, doc, _ = run_structured(capsys, "solve", str(FIXTURES / "example1.json"))
+        assert doc["report"]["solve"]["newton_steps"] == 0
+
+
+def test_cli_solve_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: a slow solve, which takes the
+    # Newton-GMRES finish, must not pull scipy in through a lazy import
+    script = """
+import json, sys
+import numpy as np
+import matfix.cli
+rng = np.random.default_rng(1)
+A = []
+for _ in range(2):
+    G = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    A.append(30.0 * G / np.linalg.norm(G, 2))
+path = sys.argv[1]
+with open(path, "w") as fh:
+    json.dump({"n": 8, "m": 2, "Q": {"re": np.eye(8).tolist()},
+               "A": [{"re": a.real.tolist(), "im": a.imag.tolist()} for a in A]}, fh)
+code = matfix.cli.main(["solve", path, "--format", "structured"])
+print("SCIPY" if any(m == "scipy" or m.startswith("scipy.") for m in sys.modules) else "CLEAN", code)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "slow.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.strip().splitlines()[-1]
+    assert last == "CLEAN 0"
+    assert '"newton_steps": 0' not in proc.stdout
 
 
 class TestAnalyzeCommand:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,16 @@ from matfix import (
     spectral_norm,
     validate,
 )
+from matfix import linalg
+from matfix import solver as solver_module
 from matfix.bounds import coarse_interval
 from matfix.examples import benchmark_instance
+from matfix.fileio import parse_instance
+from matfix.operators import l_representation
 from matfix.reference_values import BENCHMARK1
 from tests.conftest import make_random_instance
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestValidate:
@@ -278,3 +286,203 @@ class TestResidual:
         rep = solve(inst, SolveSettings(tol=1e-11))
         _, norm = residual(inst, rep.X)
         assert norm < 1e-11
+
+
+def gaussian_instance(seed, n, m, norm):
+    """m complex Gaussian coefficients of spectral norm ``norm``, Q = I."""
+    rng = np.random.default_rng(seed)
+    A = []
+    for _ in range(m):
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        A.append(norm * G / np.linalg.norm(G, 2))
+    return EquationInstance(A=A, Q=np.eye(n))
+
+
+def _numpy_map(inst, X):
+    FX = inst.Q + sum(Ai.conj().T @ np.linalg.solve(X, Ai) for Ai in inst.A)
+    return (FX + FX.conj().T) / 2
+
+
+def plain_fixed_point_count(inst, tol=1e-10, max_iter=1000):
+    """Iterations the fixed point alone needs under the solver's stopping
+    rule ||herm(F(X_k)) - X_k||_2 < tol, or None at the cap (plain numpy)."""
+    X = inst.Q.astype(complex)
+    FX = _numpy_map(inst, X)
+    for k in range(1, max_iter + 1):
+        X, FX = FX, _numpy_map(inst, FX)
+        if np.abs(np.linalg.eigvalsh(FX - X)).max() < tol:
+            return k
+    return None
+
+
+def tight_fixed_point(inst, max_iter=3000):
+    """Plain numpy fixed point run to a relative step of 1e-15 (or the cap)."""
+    X = inst.Q.astype(complex)
+    for _ in range(max_iter):
+        Xn = _numpy_map(inst, X)
+        step, X = np.linalg.norm(Xn - X), Xn
+        if step <= 1e-15 * np.linalg.norm(X):
+            break
+    return X
+
+
+@pytest.fixture
+def count_l_actions(monkeypatch):
+    """Count calls of the shared L action (one per GMRES matvec)."""
+    calls = []
+    apply_l = linalg.apply_l
+
+    def counting(B, W):
+        calls.append(None)
+        return apply_l(B, W)
+
+    monkeypatch.setattr(linalg, "apply_l", counting)
+    return calls
+
+
+def _random_b(rng, n, m, complex_data, norm=0.6):
+    B = []
+    for _ in range(m):
+        G = rng.standard_normal((n, n))
+        if complex_data:
+            G = G + 1j * rng.standard_normal((n, n))
+        B.append(norm / np.sqrt(m) * G / np.linalg.norm(G, 2))
+    return tuple(B)
+
+
+class TestNewtonGmres:
+    @pytest.mark.parametrize("complex_data", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_matches_dense_solve(self, n, m, complex_data):
+        rng = np.random.default_rng(100 * n + 10 * m + complex_data)
+        B = _random_b(rng, n, m, complex_data)
+        R = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_data else 0)
+        R = linalg.hermitian_part(R + R.conj().T)
+        E, solved = solver_module._solve_l_hermitian(B, R, 1e-13, 10_000)
+        assert solved
+        assert linalg.is_exactly_hermitian(E)
+        ref = linalg.unvec(np.linalg.solve(l_representation(B, n), linalg.vec(R)), n)
+        assert np.abs(E - ref).max() <= 1e-11 * np.abs(ref).max()
+
+    def test_restarted_run_matches_dense_solve(self, count_l_actions):
+        rng = np.random.default_rng(7)
+        n = 6
+        B = _random_b(rng, n, 1, True, norm=0.99)
+        R = linalg.hermitian_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        E, solved = solver_module._solve_l_hermitian(B, R, 1e-13, 10_000)
+        assert solved
+        assert len(count_l_actions) > solver_module._GMRES_RESTART + 1  # restarted
+        ref = linalg.unvec(np.linalg.solve(l_representation(B, n), linalg.vec(R)), n)
+        assert np.abs(E - ref).max() <= 1e-11 * np.abs(ref).max()
+
+    def test_cap_stops_gmres(self, count_l_actions):
+        rng = np.random.default_rng(8)
+        B = _random_b(rng, 6, 2, True, norm=0.95)
+        R = linalg.hermitian_part(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        _, solved = solver_module._solve_l_hermitian(B, R, 1e-13, 5)
+        assert not solved
+        assert len(count_l_actions) == 5
+
+
+GRID = [(n, m, a) for n in (6, 16, 48) for m in (1, 2, 3) for a in (0.3, 3.0, 30.0)]
+
+
+class TestHybridSolver:
+    @pytest.mark.parametrize("n, m, norm", GRID)
+    def test_agrees_with_tight_fixed_point(self, n, m, norm):
+        inst = gaussian_instance(n * 100 + m * 10 + int(norm), n, m, norm)
+        X_ref = tight_fixed_point(inst)
+        scale = np.linalg.norm(X_ref, 2)
+        rep = solve(inst, SolveSettings(tol=1e-13 * scale))
+        assert rep.converged
+        assert np.linalg.norm(rep.X - X_ref, 2) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n, m, norm", GRID)
+    def test_newton_work_within_fixed_point_work(self, n, m, norm, count_l_actions):
+        # fixed-point steps + Newton steps + GMRES matvecs <= the iterations
+        # of the fixed point alone
+        inst = gaussian_instance(n * 100 + m * 10 + int(norm), n, m, norm)
+        rep = solve(inst)
+        assert rep.converged and rep.iterations == len(rep.history)
+        plain = plain_fixed_point_count(inst)
+        if rep.newton_steps == 0:
+            assert rep.iterations == plain and not count_l_actions
+        else:
+            assert rep.iterations + len(count_l_actions) <= plain
+
+    def test_newton_work_m1_n48(self, count_l_actions):
+        inst = gaussian_instance(5, 48, 1, 30.0)
+        rep = solve(inst)
+        assert rep.converged and rep.newton_steps > 0
+        assert rep.iterations + len(count_l_actions) <= plain_fixed_point_count(inst)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_benchmarks_never_switch(self, k):
+        for settings in (SolveSettings(), SolveSettings(x0=1.1, tol=1e-13, max_iter=2000)):
+            assert solve(benchmark_instance(k), settings).newton_steps == 0
+        rep = solve(parse_instance(FIXTURES / f"example{k}.json"))
+        assert rep.converged and rep.newton_steps == 0
+
+    def test_mild_n128_never_switches(self, count_l_actions):
+        rep = solve(gaussian_instance(1, 128, 2, 0.3))
+        assert rep.converged and rep.newton_steps == 0 and not count_l_actions
+
+    def test_large_coefficients_converge(self):
+        # ||Ai|| = 300: the fixed point alone hits max_iter=1000 here
+        inst = gaussian_instance(5, 16, 2, 300.0)
+        assert plain_fixed_point_count(inst, max_iter=1000) is None
+        rep = solve(inst, SolveSettings(max_iter=1000))
+        assert rep.converged and rep.newton_steps > 0
+        assert np.linalg.eigvalsh(rep.X)[0] > 0
+        R = _numpy_map(inst, rep.X) - rep.X
+        assert np.abs(np.linalg.eigvalsh(R)).max() < 2e-10
+
+    def test_nearly_singular_q_converges(self):
+        # the fixed point oscillates at rate ~1 - 1e-12 here; the restart
+        # X # F(X) and the Newton finish reach the solution diag(0.1, x, ...)
+        inst = EquationInstance(A=[0.1 * np.eye(5)], Q=np.diag([1e-12, 1, 1, 1, 1]))
+        rep = solve(inst, SolveSettings(max_iter=200))
+        assert rep.converged and rep.residual_norm < 1e-10
+        assert np.array_equal(rep.X, rep.X.conj().T)
+        assert np.linalg.eigvalsh(rep.X)[0] > 0
+        R = _numpy_map(inst, rep.X) - rep.X
+        assert np.abs(np.linalg.eigvalsh(R)).max() < 1e-10
+        assert rep.X[0, 0].real == pytest.approx(0.1, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [lambda X: -X, lambda X: 2.0 * X])
+    def test_rejected_newton_iterate_falls_back(self, monkeypatch, bad):
+        # a Newton iterate that is not positive definite, or that raises the
+        # residual, is rejected and the fixed point carries the solve on
+        inst = gaussian_instance(5, 16, 2, 30.0)
+        expected = solve(inst)
+        monkeypatch.setattr(solver_module, "_newton_step", lambda X, *args: (bad(X), True))
+        rep = solve(inst)
+        assert rep.converged and rep.newton_steps == 0
+        assert rep.iterations == len(rep.history)
+        assert np.linalg.norm(rep.X - expected.X, 2) <= 1e-9 * np.linalg.norm(expected.X, 2)
+
+    def test_newton_step_capped_at_expected_saving(self, count_l_actions):
+        # at rate 0.3 a Newton step to eta = 1e-2 saves log(1e-2)/log(0.3)
+        # fixed-point steps, so GMRES gets ceil(3.8) = 4 matvecs
+        inst = gaussian_instance(5, 16, 1, 30.0)
+        X = inst.Q.astype(complex)
+        for _ in range(15):
+            X = solver_module._hermitian_map(inst, X)[0]
+        FX, L, G = solver_module._hermitian_map(inst, X)
+        res = solver_module._hermitian_norm(FX - X)
+        assert res > 1e-2
+        _, solved = solver_module._newton_step(X, FX, L, G, res, 0.3, 1e-10)
+        assert not solved and len(count_l_actions) == 4
+        del count_l_actions[:]
+        _, solved = solver_module._newton_step(X, FX, L, G, res, 0.9, 1e-10)
+        assert solved and len(count_l_actions) < 44
+
+    def test_rounding_floor_does_not_loop_newton(self):
+        # tol below the rounding floor of the residual: the solve runs to the
+        # cap as the fixed point would, without a Newton phase every few steps
+        inst = gaussian_instance(5, 16, 1, 30.0)
+        rep = solve(inst, SolveSettings(tol=1e-13, max_iter=300))
+        assert not rep.converged and rep.iterations == 300
+        assert rep.residual_norm < 1e-10
+        assert rep.newton_steps <= 10
