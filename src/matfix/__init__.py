@@ -27,6 +27,7 @@ from .errors import (
     NotHermitian,
     NotPositiveDefinite,
     NotReal,
+    OperatorTooLarge,
     ParseError,
     SingularIterate,
     SingularMatrix,
@@ -85,6 +86,7 @@ __all__ = [
     "NotPositiveDefinite",
     "NotReal",
     "OperatorBundle",
+    "OperatorTooLarge",
     "ParseError",
     "PerturbationSpec",
     "ScalarBounds",

@@ -1,11 +1,16 @@
 """Rice-style condition numbers of the solution, complex and real case.
 
 The first-order map from data perturbations to the solution perturbation is
-assembled as one real block row whose spectral norm, scaled by the weight
-xi, is the condition number:
+one real block row whose spectral norm, scaled by the weight xi, is the
+condition number:
 
-* complex case: blocks (rho S_c, eta_1 U_1, ..., eta_m U_m) built from the
-  real/imaginary split of L^-1 and L^-1 composed with the P_i ingredients;
+* complex case: the textbook row is 2n^2 x 2n^2(m+1), on (Re, Im) of data
+  and vec dX.  Its dA blocks map into Hermitian matrices and L^-1 keeps
+  Hermitian and skew parts apart, so in (Hermitian, skew) output coordinates
+  its Gram matrix is diag(G_H, rho^2 R R^T), and G_H = rho^2 R R^T +
+  sum(eta_i^2 V_i V_i^T) dominates: the norm is that of the n^2 x n^2(2m+1)
+  row (rho R, eta_i V_i), R the real form of L^-1, V_i = [Re S + Im S,
+  Re D - Im D] for the sum S and difference D of the structured products;
 * real case: blocks (rho S_r, eta_1 U_1, ..., eta_m U_m) with
   S_r = (I + sum(kron(C_i, C_i)))^-1 and U_i = S_r(kron(I, C_i) + kron(C_i, I) Pi)
   for C_i = A_i^T X^-1.
@@ -30,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotReal
-from .operators import OperatorBundle, _structured_products
+from .operators import OperatorBundle, _structured_products, require_dense_budget
 from .solver import EquationInstance, SolveSettings, solve
 
 Array = np.ndarray
@@ -44,7 +49,6 @@ class ConditionReport:
     xi: float
     rho: float
     etas: tuple[float, ...]
-    assembled: Array
 
 
 def _weights(instance: EquationInstance, X: Array, mode: str) -> tuple[float, float, tuple[float, ...]]:
@@ -66,36 +70,28 @@ def cond_complex(
 ) -> ConditionReport:
     """Condition number from the complex-case block construction.
 
-    The 2n^2 x 2n^2(m+1) block row acts on the stacked real/imaginary parts
-    of (vec dQ, vec dA_1, ..., vec dA_m); its spectral norm divided by xi is
-    the condition number.
+    The Hermitian-output row (rho R, eta_1 V_1, ..., eta_m V_m) has the
+    norm of the full 2n^2 x 2n^2(m+1) block row (see the module docstring);
+    divided by xi it is the condition number.
     """
-    N = instance.n ** 2
+    n, N = instance.n, instance.n ** 2
     xi, rho, etas = _weights(instance, X, mode)
     Linv = bundle.L_inv
 
-    assembled = np.empty((2 * N, 2 * N * (bundle.m + 1)))
-    Sc = assembled[:, : 2 * N]
-    Sc[:N, :N] = Sc[N:, N:] = Linv.real
-    Sc[N:, :N] = Linv.imag
-    np.negative(Linv.imag, out=Sc[:N, N:])
-    Sc *= rho
+    row = np.empty((N, N * (2 * bundle.m + 1)))
+    np.multiply(linalg.real_form(Linv, n), rho, out=row[:, :N])
     for i, Bi in enumerate(bundle.B):
         M1, M2 = _structured_products(Linv, Bi)
-        Ui = assembled[:, 2 * N * (i + 1) : 2 * N * (i + 2)]
-        np.add(M1.real, M2.real, out=Ui[:N, :N])
-        np.subtract(M2.imag, M1.imag, out=Ui[:N, N:])
-        np.add(M1.imag, M2.imag, out=Ui[N:, :N])
-        np.subtract(M1.real, M2.real, out=Ui[N:, N:])
-        Ui *= etas[i]
+        S, D = M1 + M2, M1 - M2
+        np.multiply(S.real + S.imag, etas[i], out=row[:, N * (2 * i + 1) : N * (2 * i + 2)])
+        np.multiply(D.real - D.imag, etas[i], out=row[:, N * (2 * i + 2) : N * (2 * i + 3)])
     return ConditionReport(
         mode=mode,
         case="complex",
-        value=linalg.spectral_norm(assembled) / xi,
+        value=linalg.spectral_norm(row) / xi,
         xi=xi,
         rho=rho,
         etas=etas,
-        assembled=assembled,
     )
 
 
@@ -126,6 +122,8 @@ def cond_real(
     As = [_require_real(Ai, f"A[{i}]", imag_tol) for i, Ai in enumerate(instance.A)]
 
     xi, rho, etas = _weights(instance, Xr, mode)
+    # I + sum(kron(C_i, C_i)), its inverse and the m + 1 blocks of the row
+    require_dense_budget(n, len(As), len(As) + 3, float)
     Xinv = linalg.inverse(Xr)
 
     N = n * n
@@ -145,7 +143,6 @@ def cond_real(
         xi=xi,
         rho=rho,
         etas=etas,
-        assembled=assembled,
     )
 
 

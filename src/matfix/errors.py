@@ -55,6 +55,10 @@ class SingularOperator(MatfixError):
     """The sensitivity operator representation is singular to working precision."""
 
 
+class OperatorTooLarge(MatfixError):
+    """The dense n^2 x n^2 operator matrices would exceed the memory budget."""
+
+
 class MaxIterationsExceeded(MatfixError):
     """An iteration hit its iteration cap before meeting its tolerance."""
 

@@ -125,11 +125,28 @@ def vec_permutation(n: int) -> Array:
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    P = np.zeros((n * n, n * n))
-    for r in range(n):
-        for c in range(n):
-            P[c * n + r, r * n + c] = 1.0
-    return P
+    return np.eye(n * n)[np.arange(n * n).reshape(n, n).T.reshape(-1)]
+
+
+def real_form(M: Array, n: int) -> Array:
+    """Real N x N matrix T M T* with the singular values of M (N = n^2).
+
+    M represents an operator on n x n matrices that commutes with W -> W*,
+    as L and L^-1 do: Pi M Pi = conj(M) for the vec-permutation Pi.  The
+    unitary T = ((1-i) I + (1+i) Pi)/2 sends Hermitian W to Re W + Im W, and
+    T M T* = [M + Pi M Pi + i (Pi M - M Pi)]/2 is then real (its rounding
+    residue is dropped).  Pi swaps axis pairs of M.reshape(n, n, n, n): O(N^2)
+    strided reads, no matmul.  A real M commutes with Pi and is returned as is.
+    """
+    M = np.asarray(M)
+    if not np.iscomplexobj(M):
+        return M
+    M4 = M.reshape(n, n, n, n)
+    out = M4.real + M4.real.transpose(1, 0, 3, 2)
+    out -= M4.imag.transpose(1, 0, 2, 3)
+    out += M4.imag.transpose(0, 1, 3, 2)
+    out *= 0.5
+    return out.reshape(n * n, n * n)
 
 
 def hermitian_part(M: Array) -> Array:

@@ -16,10 +16,15 @@ products on L_rep^-1 reshaped to (n^2, n, n), O(n^5) instead of the O(n^6)
 of dense n^2 x n^2 matmuls (see :func:`_structured_products`, shared with
 the condition numbers).  The bundle keeps L_rep^-1, which
 :func:`build_bundle` needs anyway, next to L_rep, so the condition numbers
-and the first-order change invert nothing again.  The scalar surrogates
-bundled here are the ingredients of the operator-based perturbation bound
-and the condition numbers, all spectral norms computed by
-:func:`matfix.linalg.spectral_norm`:
+and the first-order change invert nothing again.  L commutes with W -> W*,
+so the norms of L_rep and L_rep^-1 are taken from their real forms
+(:func:`matfix.linalg.real_form`), real matrices with the same singular
+values.  When every B_i is real (real data), B, L_rep, L_rep^-1 and the
+P_i_rep are float64: a real matrix has the same singular values over R and
+C.  The dense arrays are counted against :data:`DENSE_BUDGET_BYTES` before
+they are allocated.  The scalar surrogates bundled here are the ingredients
+of the operator-based perturbation bound and the condition numbers, all
+spectral norms computed by :func:`matfix.linalg.spectral_norm`:
 
 * ``l``        reciprocal of the spectral norm of L_rep.  This lower-bounds
                the true inverse-operator norm surrogate ||L^-1||^-1 in any
@@ -35,15 +40,17 @@ and the condition numbers, all spectral norms computed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import SingularMatrix, SingularOperator
+from .errors import OperatorTooLarge, SingularMatrix, SingularOperator
 from .solver import EquationInstance
 
 Array = np.ndarray
+
+DENSE_BUDGET_BYTES = 2**30  # dense n^2 x n^2 arrays one call may hold
 
 
 @dataclass(frozen=True)
@@ -57,9 +64,7 @@ class OperatorBundle:
     theta_is: tuple[float, ...]
     theta: float
     zeta: float
-    norm_kind: str = field(
-        default="dense-exact: reciprocal spectral(L), spectral(P_i) via scaled Gram eigenvalue"
-    )
+    norm_kind: str
 
     @property
     def m(self) -> int:
@@ -70,11 +75,21 @@ class OperatorBundle:
         return self.B[0].shape[0] if self.B else int(np.sqrt(self.L_rep.shape[0]))
 
 
+def require_dense_budget(n: int, m: int, arrays: int, dtype) -> None:
+    """Raise OperatorTooLarge if ``arrays`` n^2 x n^2 ``dtype`` arrays exceed the budget."""
+    nbytes = arrays * n**4 * np.dtype(dtype).itemsize
+    if nbytes > DENSE_BUDGET_BYTES:
+        raise OperatorTooLarge(
+            f"dense sensitivity operators at n={n}, m={m} need {nbytes} B, "
+            f"above the budget of {DENSE_BUDGET_BYTES} B"
+        )
+
+
 def l_representation(B: tuple[Array, ...], n: int) -> Array:
-    """I + sum(kron(B_i^T, B_i*)); acts on vec(W) as vec(W + sum B_i* W B_i)."""
-    L = np.eye(n * n, dtype=complex)
+    """I + sum(kron(B_i^T, B_i*)), in B's dtype; acts on vec(W) as vec(W + sum B_i* W B_i)."""
+    L = np.eye(n * n, dtype=np.result_type(float, *B))
     for Bi in B:
-        L = L + linalg.kron(Bi.T, Bi.conj().T)
+        L += linalg.kron(Bi.T, Bi.conj().T)
     return L
 
 
@@ -103,12 +118,15 @@ def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
     n = X.shape[0]
     Xinv = linalg.inverse(X)
     B = tuple(Xinv @ Ai for Ai in instance.A)
+    real = not any(Bi.imag.any() for Bi in B)
+    B = tuple(Bi.real.copy() if real else Bi for Bi in B)
+    require_dense_budget(n, len(B), len(B) + 2, float if real else complex)  # L_rep, L_inv, P_i
 
     L_rep = l_representation(B, n)
-    s_max = linalg.spectral_norm(L_rep)
+    s_max = linalg.spectral_norm(linalg.real_form(L_rep, n))
     try:
         L_inv = linalg.inverse(L_rep)
-        s_min = 1.0 / linalg.spectral_norm(L_inv)
+        s_min = 1.0 / linalg.spectral_norm(linalg.real_form(L_inv, n))
     except SingularMatrix:  # the inverse failed or is not finite
         s_min = 0.0
     if s_min <= n * n * np.finfo(float).eps * s_max:
@@ -134,6 +152,8 @@ def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
         theta_is=theta_is,
         theta=theta,
         zeta=zeta,
+        norm_kind="dense-exact: reciprocal spectral(real form of L), "
+        "spectral(P_i) via scaled Gram eigenvalue" + (", float64 (real data)" if real else ""),
     )
 
 

@@ -58,6 +58,36 @@ def real_instance(rng, n=3, m=2, coeff_scale=0.5):
     return make_random_instance(rng, n=n, m=m, coeff_scale=coeff_scale, complex_data=False)
 
 
+def complex_block_row(bundle, rep):
+    """The textbook 2n^2 x 2n^2(m+1) complex-case block row, from np.kron."""
+    n = bundle.n
+    Linv, P, eye = np.linalg.inv(bundle.L_rep), vec_permutation(n), np.eye(n)
+    S, Sig = Linv.real, Linv.imag
+    blocks = [rep.rho * np.block([[S, -Sig], [Sig, S]])]
+    for eta, Bi in zip(rep.etas, bundle.B):
+        M1 = Linv @ np.kron(eye, Bi.conj().T)
+        M2 = Linv @ np.kron(Bi.T, eye) @ P
+        U1, O1, U2, O2 = M1.real, M1.imag, M2.real, M2.imag
+        blocks.append(eta * np.block([[U1 + U2, O2 - O1], [O1 + O2, U1 - U2]]))
+    return np.hstack(blocks)
+
+
+def real_block_row(inst, X, rep):
+    """The textbook n^2 x n^2(m+1) real-case block row, from np.kron."""
+    n = inst.n
+    Xinv, P, eye = np.linalg.inv(X), vec_permutation(n), np.eye(n)
+    Cs = [Ai.real.T @ Xinv for Ai in inst.A]
+    Sr = np.linalg.inv(np.eye(n * n) + sum(np.kron(C, C) for C in Cs))
+    blocks = [rep.rho * Sr]
+    for eta, C in zip(rep.etas, Cs):
+        blocks.append(eta * Sr @ (np.kron(eye, C) + np.kron(C, eye) @ P))
+    return np.hstack(blocks)
+
+
+def top_singular_value(M):
+    return np.linalg.svd(M, compute_uv=False)[0]
+
+
 class TestCondComplex:
     def test_zero_coefficients(self):
         Q = np.diag([2.0, 3.0])
@@ -74,10 +104,10 @@ class TestCondComplex:
         X = solve_tight(inst)
         bundle = build_bundle(inst, X)
         rep = cond_complex(inst, X, bundle, "relative")
-        assert rep.value * rep.xi == pytest.approx(spectral_norm(rep.assembled), rel=1e-12)
+        row = complex_block_row(bundle, rep)
+        assert rep.value * rep.xi == pytest.approx(spectral_norm(row), rel=1e-12)
         # spectral_norm is also what computes rep.value: check against an SVD too
-        s_max = np.linalg.svd(rep.assembled, compute_uv=False)[0]
-        assert rep.value * rep.xi == pytest.approx(s_max, rel=1e-12)
+        assert rep.value * rep.xi == pytest.approx(top_singular_value(row), rel=1e-12)
 
     def test_unitary_similarity_invariance(self, rng):
         from matfix import hermitian_part
@@ -102,7 +132,7 @@ class TestCondComplex:
         X = solve_tight(inst)
         bundle = build_bundle(inst, X)
         rep = cond_complex(inst, X, bundle, "absolute")
-        doubled = np.hstack([2.0 * rep.assembled])
+        doubled = 2.0 * complex_block_row(bundle, rep)
         assert spectral_norm(doubled) == pytest.approx(2 * rep.value * rep.xi, rel=1e-12)
 
 
@@ -179,34 +209,40 @@ class TestCondReal:
 
 
 class TestBlockRowAssembly:
-    """The in-place block rows against the textbook dense constructions."""
+    """The condition numbers against the textbook dense block rows.
+
+    The complex case checks the Hermitian-output row against the full
+    2n^2-row construction, which it replaces.
+    """
 
     def test_complex_block_row(self, rng):
         inst = make_random_instance(rng, n=3, m=2)
         X = solve_tight(inst)
         bundle = build_bundle(inst, X)
         rep = cond_complex(inst, X, bundle, "relative")
-        Linv, P, eye = inverse(bundle.L_rep), vec_permutation(3), np.eye(3)
-        S, Sig = Linv.real, Linv.imag
-        blocks = [rep.rho * np.block([[S, -Sig], [Sig, S]])]
-        for eta, Bi in zip(rep.etas, bundle.B):
-            M1 = Linv @ np.kron(eye, Bi.conj().T)
-            M2 = Linv @ np.kron(Bi.T, eye) @ P
-            U1, O1, U2, O2 = M1.real, M1.imag, M2.real, M2.imag
-            blocks.append(eta * np.block([[U1 + U2, O2 - O1], [O1 + O2, U1 - U2]]))
-        assert np.abs(rep.assembled - np.hstack(blocks)).max() < 1e-13
+        row = complex_block_row(bundle, rep)
+        assert rep.value * rep.xi == pytest.approx(top_singular_value(row), rel=1e-12)
 
     def test_real_block_row(self, rng):
         inst = real_instance(rng, n=3, m=2)
         X = solve_tight(inst).real
         rep = cond_real(inst, X, "relative")
-        Xinv, P, eye = np.linalg.inv(X), vec_permutation(3), np.eye(3)
-        Cs = [Ai.real.T @ Xinv for Ai in inst.A]
-        Sr = np.linalg.inv(np.eye(9) + sum(np.kron(C, C) for C in Cs))
-        blocks = [rep.rho * Sr]
-        for eta, C in zip(rep.etas, Cs):
-            blocks.append(eta * Sr @ (np.kron(eye, C) + np.kron(C, eye) @ P))
-        assert np.abs(rep.assembled - np.hstack(blocks)).max() < 1e-13
+        row = real_block_row(inst, X, rep)
+        assert rep.value * rep.xi == pytest.approx(top_singular_value(row), rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["absolute", "relative"])
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_complex_case_grid(self, rng, n, m, mode, complex_data):
+        inst = make_random_instance(rng, n=n, m=m, complex_data=complex_data)
+        X = solve_tight(inst)
+        if not complex_data:
+            X = X.real
+        bundle = build_bundle(inst, X)
+        rep = cond_complex(inst, X, bundle, mode)
+        row = complex_block_row(bundle, rep)
+        assert rep.value * rep.xi == pytest.approx(top_singular_value(row), rel=1e-12)
 
 
 class TestFdOracle:

@@ -16,6 +16,7 @@ from matfix import (
     vec_permutation,
 )
 from matfix.examples import BENCHMARK4_Q, tridiagonal_seed
+from matfix.linalg import real_form
 
 
 def tridiag_eigs(n=5):
@@ -174,6 +175,42 @@ class TestVecPermutation:
         assert np.array_equal(P @ P, np.eye(9))
         assert np.array_equal(P, P.T)
         assert np.allclose(P @ P.T, np.eye(9))
+
+
+class TestRealForm:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_singular_values_and_inverse_of_l(self, rng, n, m):
+        # L_rep = I + sum(kron(B^T, B*)) built here with np.kron
+        L = np.eye(n * n, dtype=complex)
+        for _ in range(m):
+            B = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / (2 * n)
+            L += np.kron(B.T, B.conj().T)
+        R = real_form(L, n)
+        assert R.dtype == np.float64
+        s = np.linalg.svd(L, compute_uv=False)
+        assert np.abs(np.linalg.svd(R, compute_uv=False) - s).max() <= 1e-13 * s[0]
+        R_inv = real_form(np.linalg.inv(L), n)
+        assert R_inv.dtype == np.float64
+        assert np.abs(R_inv - np.linalg.inv(R)).max() <= 1e-13 * np.abs(R_inv).max()
+
+    def test_matches_unitary_similarity(self, rng):
+        # T = ((1-i) I + (1+i) P)/2 carries Hermitian W to Re W + Im W
+        n = 3
+        B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        L = np.eye(n * n) + np.kron(B.T, B.conj().T)
+        P = vec_permutation(n)
+        T = ((1 - 1j) * np.eye(n * n) + (1 + 1j) * P) / 2
+        assert np.allclose(T @ T.conj().T, np.eye(n * n), atol=1e-15)
+        W = hermitian_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        assert np.allclose(T @ vec(W), vec(W.real + W.imag), atol=1e-15)
+        F = T @ L @ T.conj().T
+        assert np.abs(F.imag).max() < 1e-13
+        assert np.abs(real_form(L, n) - F.real).max() < 1e-13
+
+    def test_real_input_returned_as_is(self, rng):
+        M = rng.standard_normal((4, 4))
+        assert real_form(M, 2) is M
 
 
 class TestHermitianPart:

@@ -1,17 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from matfix import (
     EquationInstance,
+    OperatorTooLarge,
     SingularOperator,
     build_bundle,
+    cond_real,
     hermitian_part,
     inverse,
     unvec,
     vec,
     vec_permutation,
 )
-from matfix.operators import _structured_products, apply_l, solve_l
+from matfix.operators import DENSE_BUDGET_BYTES, _structured_products, apply_l, solve_l
 from tests.conftest import make_random_instance, solve_tight
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -151,6 +155,59 @@ class TestBuildBundle:
         assert bundle.l == pytest.approx(1.0 / s_L, rel=1e-12)
         for Pi, n_i in zip(bundle.Pi_reps, bundle.n_ops):
             assert n_i == pytest.approx(np.linalg.svd(Pi, compute_uv=False)[0], rel=1e-12)
+
+
+class TestRealData:
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_dtype_and_surrogates_against_complex_kron(self, rng, n, complex_data):
+        inst = make_random_instance(rng, n=n, m=2, complex_data=complex_data)
+        X = solve_tight(inst)
+        if not complex_data:
+            X = X.real
+        bundle = build_bundle(inst, X)
+        dtype = np.complex128 if complex_data else np.float64
+        assert all(Bi.dtype == dtype for Bi in bundle.B)
+        assert bundle.L_rep.dtype == bundle.L_inv.dtype == dtype
+        assert all(Pi.dtype == dtype for Pi in bundle.Pi_reps)
+        assert bundle.norm_kind.startswith("dense-exact")
+        assert ("float64" in bundle.norm_kind) is not complex_data
+
+        # the complex128 textbook constructions
+        Xinv = np.linalg.inv(X.astype(complex))
+        B = [Xinv @ Ai for Ai in inst.A]
+        eye, P = np.eye(n), vec_permutation(n)
+        L = np.eye(n * n, dtype=complex) + sum(np.kron(Bi.T, Bi.conj().T) for Bi in B)
+        L_inv = np.linalg.inv(L)
+        assert bundle.l == pytest.approx(1.0 / np.linalg.svd(L, compute_uv=False)[0], rel=1e-13)
+        for Bi, n_i in zip(B, bundle.n_ops):
+            Pi = L_inv @ (np.kron(eye, Bi.conj().T) + np.kron(Bi.T, eye) @ P)
+            assert n_i == pytest.approx(np.linalg.svd(Pi, compute_uv=False)[0], rel=1e-13)
+
+
+class TestDenseBudget:
+    @pytest.mark.parametrize("call", ["build_bundle", "cond_real"])
+    def test_refused_before_allocating(self, call):
+        # n = 100: L_rep alone would be 0.8 GB in float64, the bundle 2.4 GB
+        n = 100
+        inst = EquationInstance(A=[np.zeros((n, n))], Q=np.eye(n))
+        X = np.eye(n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OperatorTooLarge) as info:
+                if call == "build_bundle":
+                    build_bundle(inst, X)
+                else:
+                    cond_real(inst, X, "relative")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        message = str(info.value)
+        assert "n=100" in message and "m=1" in message
+        assert str(DENSE_BUDGET_BYTES) in message
+        expected = (3 if call == "build_bundle" else 4) * n**4 * 8
+        assert f"{expected} B" in message
 
 
 class TestStructuredProducts:
