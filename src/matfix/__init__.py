@@ -40,7 +40,6 @@ from .linalg import (
     hermitian_part,
     inverse,
     is_positive_definite,
-    kron,
     spectral_norm,
     unvec,
     vec,
@@ -109,7 +108,6 @@ __all__ = [
     "hermitian_part",
     "inverse",
     "is_positive_definite",
-    "kron",
     "membership",
     "refined_interval",
     "residual",

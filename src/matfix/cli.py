@@ -1,8 +1,8 @@
 """Command-line front end: solve, analyze, reproduce.
 
-Exit codes: 0 success, 1 invalid input, 2 numerical non-convergence,
-3 analysis completed but at least one requested bound's feasibility
-condition failed.
+Exit codes: 0 success, 1 invalid input (an instance too large for the
+dense operators included), 2 numerical non-convergence, 3 analysis
+completed but at least one requested bound's feasibility condition failed.
 
 Structured output is a single JSON document on one compact line, carrying
 the schema version, the command echo, settings, wall clock, and per-module
@@ -36,6 +36,7 @@ from .errors import (
     ConditionViolated,
     MatfixError,
     NonzeroDeltaQ,
+    OperatorTooLarge,
     ParseError,
     ValidationError,
 )
@@ -56,7 +57,7 @@ from .reference_values import (
     BENCHMARK3_TRAJECTORY,
     BENCHMARK4_CONDITION,
 )
-from .solver import EquationInstance, SolveSettings, _apply_map, residual_raw, solve
+from .solver import EquationInstance, SolveSettings, _apply_map, solve
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -202,8 +203,8 @@ def _cmd_solve(args) -> tuple[dict, list[str], int]:
             + f" (slack {_fmt(slack)})",
         ]
     else:
-        _, raw_norm = residual_raw(instance, report.X)
-        payload["solve"]["raw_residual_norm"] = raw_norm
+        R = _apply_map(instance, report.X) - report.X
+        payload["solve"]["raw_residual_norm"] = linalg.spectral_norm(R)
 
     return payload, lines, EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
@@ -546,7 +547,7 @@ def main(argv=None) -> int:
         return EXIT_INVALID_INPUT
     except MatfixError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+        return EXIT_INVALID_INPUT if isinstance(exc, OperatorTooLarge) else EXIT_NOT_CONVERGED
 
     if args.format == "structured":
         report = {

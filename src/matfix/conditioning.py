@@ -2,7 +2,9 @@
 
 The first-order map from data perturbations to the solution perturbation is
 one real block row whose spectral norm, scaled by the weight xi, is the
-condition number:
+condition number.  :func:`_condition` builds both cases' rows from L^-1 and
+the B_i, with M1, M2 the O(n^5) structured products L^-1 kron(I, B_i*) and
+L^-1 kron(B_i^T, I) Pi of :mod:`matfix.operators`:
 
 * complex case: the textbook row is 2n^2 x 2n^2(m+1), on (Re, Im) of data
   and vec dX.  Its dA blocks map into Hermitian matrices and L^-1 keeps
@@ -10,15 +12,10 @@ condition number:
   its Gram matrix is diag(G_H, rho^2 R R^T), and G_H = rho^2 R R^T +
   sum(eta_i^2 V_i V_i^T) dominates: the norm is that of the n^2 x n^2(2m+1)
   row (rho R, eta_i V_i), R the real form of L^-1, V_i = [Re S + Im S,
-  Re D - Im D] for the sum S and difference D of the structured products;
-* real case: blocks (rho S_r, eta_1 U_1, ..., eta_m U_m) with
-  S_r = (I + sum(kron(C_i, C_i)))^-1 and U_i = S_r(kron(I, C_i) + kron(C_i, I) Pi)
-  for C_i = A_i^T X^-1.
-
-The products of L^-1 (or S_r) with the Kronecker factors run through the
-O(n^5) structured products of :mod:`matfix.operators`, never through dense
-n^2 x n^2 matmuls, and each block is written straight into its slice of the
-preallocated block row.
+  Re D - Im D] for S = M1 + M2 and D = M1 - M2, on the bundle's L^-1;
+* real case: the row (rho L^-1, eta_i (M1 + M2)) with B_i = C_i^T for
+  C_i = A_i^T X^-1, so L_rep = I + sum(kron(C_i, C_i)).  L^-1 is formed
+  here, because X may be a nonsymmetric raw-mode solution.
 
 Absolute mode uses unit weights; relative mode uses Frobenius norms of the
 data (eta_i = ||A_i||_F, rho = ||Q||_F, xi = ||X||_F).
@@ -35,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotReal
-from .operators import OperatorBundle, _structured_products, require_dense_budget
+from .operators import OperatorBundle, _structured_products, l_representation, require_dense_budget
 from .solver import EquationInstance, SolveSettings, solve
 
 Array = np.ndarray
@@ -62,37 +59,44 @@ def _weights(instance: EquationInstance, X: Array, mode: str) -> tuple[float, fl
     raise ValueError(f"mode must be 'absolute' or 'relative', got {mode!r}")
 
 
+def _condition(
+    instance: EquationInstance, X: Array, L_inv: Array, B, mode: str, case: str
+) -> ConditionReport:
+    """Condition number from the block row of L^-1 and the B_i (module docstring)."""
+    n, N, m = instance.n, instance.n ** 2, len(B)
+    xi, rho, etas = _weights(instance, X, mode)
+    width = 1 if case == "real" else 2  # blocks per dA_i
+    require_dense_budget(n, m, 1 + width * m, float)  # the row
+    row = np.empty((N, N * (1 + width * m)))
+    np.multiply(linalg.real_form(L_inv, n), rho, out=row[:, :N])
+    for i, Bi in enumerate(B):
+        M1, M2 = _structured_products(L_inv, Bi)
+        blocks = row[:, N * (1 + width * i) : N * (1 + width * (i + 1))]
+        if case == "real":
+            np.add(M1, M2, out=blocks)
+        else:
+            S, D = M1 + M2, M1 - M2
+            np.add(S.real, S.imag, out=blocks[:, :N])
+            np.subtract(D.real, D.imag, out=blocks[:, N:])
+        blocks *= etas[i]
+    return ConditionReport(
+        mode=mode,
+        case=case,
+        value=linalg.spectral_norm(row) / xi,
+        xi=xi,
+        rho=rho,
+        etas=etas,
+    )
+
+
 def cond_complex(
     instance: EquationInstance,
     X: Array,
     bundle: OperatorBundle,
     mode: str = "relative",
 ) -> ConditionReport:
-    """Condition number from the complex-case block construction.
-
-    The Hermitian-output row (rho R, eta_1 V_1, ..., eta_m V_m) has the
-    norm of the full 2n^2 x 2n^2(m+1) block row (see the module docstring);
-    divided by xi it is the condition number.
-    """
-    n, N = instance.n, instance.n ** 2
-    xi, rho, etas = _weights(instance, X, mode)
-    Linv = bundle.L_inv
-
-    row = np.empty((N, N * (2 * bundle.m + 1)))
-    np.multiply(linalg.real_form(Linv, n), rho, out=row[:, :N])
-    for i, Bi in enumerate(bundle.B):
-        M1, M2 = _structured_products(Linv, Bi)
-        S, D = M1 + M2, M1 - M2
-        np.multiply(S.real + S.imag, etas[i], out=row[:, N * (2 * i + 1) : N * (2 * i + 2)])
-        np.multiply(D.real - D.imag, etas[i], out=row[:, N * (2 * i + 2) : N * (2 * i + 3)])
-    return ConditionReport(
-        mode=mode,
-        case="complex",
-        value=linalg.spectral_norm(row) / xi,
-        xi=xi,
-        rho=rho,
-        etas=etas,
-    )
+    """Condition number from the complex-case block construction, on the bundle's L^-1."""
+    return _condition(instance, X, bundle.L_inv, bundle.B, mode, "complex")
 
 
 def _require_real(M: Array, what: str, tol: float) -> Array:
@@ -120,30 +124,10 @@ def cond_real(
     Xr = _require_real(X, "X", imag_tol)
     _require_real(instance.Q, "Q", imag_tol)
     As = [_require_real(Ai, f"A[{i}]", imag_tol) for i, Ai in enumerate(instance.A)]
-
-    xi, rho, etas = _weights(instance, Xr, mode)
-    # I + sum(kron(C_i, C_i)), its inverse and the m + 1 blocks of the row
-    require_dense_budget(n, len(As), len(As) + 3, float)
+    require_dense_budget(n, len(As), 2, float)  # I + sum(kron(C_i, C_i)) and its inverse
     Xinv = linalg.inverse(Xr)
-
-    N = n * n
-    Cs = [Ai.T @ Xinv for Ai in As]
-    Lr = np.eye(N) + sum(linalg.kron(C, C) for C in Cs)
-    Sr = linalg.inverse(Lr)
-    assembled = np.empty((N, N * (len(Cs) + 1)))
-    np.multiply(Sr, rho, out=assembled[:, :N])
-    for i, C in enumerate(Cs):
-        Ui = assembled[:, N * (i + 1) : N * (i + 2)]
-        np.add(*_structured_products(Sr, C.T), out=Ui)
-        Ui *= etas[i]
-    return ConditionReport(
-        mode=mode,
-        case="real",
-        value=linalg.spectral_norm(assembled) / xi,
-        xi=xi,
-        rho=rho,
-        etas=etas,
-    )
+    B = tuple((Ai.T @ Xinv).T for Ai in As)
+    return _condition(instance, Xr, linalg.inverse(l_representation(B, n)), B, mode, "real")
 
 
 def _is_real_instance(instance: EquationInstance) -> bool:

@@ -1,4 +1,4 @@
-"""Dense complex matrix primitives: norms, eigen extremes, Kronecker/vec machinery.
+"""Dense complex matrix primitives: norms, eigen extremes, vec machinery.
 
 Conventions fixed project-wide:
 
@@ -93,17 +93,12 @@ def apply_l(B, W: Array) -> Array:
     """W + sum(Bi* W Bi): the sensitivity operator L at X, with Bi = X^-1 Ai.
 
     L is also the Jacobian of X - F(X), so this one routine is the matrix-free
-    action behind the solver's Newton steps and :func:`operators.apply_l`.
+    action behind the solver's Newton steps.
     """
     out = np.array(W, dtype=complex)
     for Bi in B:
         out += Bi.conj().T @ W @ Bi
     return out
-
-
-def kron(A: Array, B: Array) -> Array:
-    """Kronecker product with (i,j) block a_ij * B."""
-    return np.kron(np.asarray(A), np.asarray(B))
 
 
 def vec(M: Array) -> Array:

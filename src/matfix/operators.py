@@ -10,21 +10,17 @@ The operators P_i map Z to L^-1(B_i* Z + Z* B_i); their representations are
     P_i_rep = L_rep^-1 (kron(I, B_i*) + kron(B_i^T, I) Pi),
 
 with Pi the vec-permutation.  Neither Kronecker factor is formed as a
-matrix: kron(I, B_i*) is block diagonal and kron(B_i^T, I) Pi only
-rearranges entries, so both products with L_rep^-1 are batched n x n
-products on L_rep^-1 reshaped to (n^2, n, n), O(n^5) instead of the O(n^6)
-of dense n^2 x n^2 matmuls (see :func:`_structured_products`, shared with
-the condition numbers).  The bundle keeps L_rep^-1, which
-:func:`build_bundle` needs anyway, next to L_rep, so the condition numbers
-and the first-order change invert nothing again.  L commutes with W -> W*,
-so the norms of L_rep and L_rep^-1 are taken from their real forms
-(:func:`matfix.linalg.real_form`), real matrices with the same singular
-values.  When every B_i is real (real data), B, L_rep, L_rep^-1 and the
-P_i_rep are float64: a real matrix has the same singular values over R and
-C.  The dense arrays are counted against :data:`DENSE_BUDGET_BYTES` before
-they are allocated.  The scalar surrogates bundled here are the ingredients
-of the operator-based perturbation bound and the condition numbers, all
-spectral norms computed by :func:`matfix.linalg.spectral_norm`:
+matrix: both products with L_rep^-1 are batched n x n products on L_rep^-1
+reshaped to (n^2, n, n), O(n^5) instead of the O(n^6) of dense matmuls
+(see :func:`_structured_products`, shared with the condition numbers).
+L_rep and the P_i_rep are locals of :func:`build_bundle`, each P_i_rep
+formed, normed and dropped in turn; the bundle keeps B and L_rep^-1, its
+one dense array, which the condition numbers and the first-order change
+reuse.  L commutes with W -> W*, so the norms of L_rep and L_rep^-1 are
+taken from their real forms (:func:`matfix.linalg.real_form`).  On real
+data (every B_i real) all of these are float64.  The dense arrays are
+counted against :data:`DENSE_BUDGET_BYTES` before they are allocated.  The
+scalar surrogates, all spectral norms from :func:`matfix.linalg.spectral_norm`:
 
 * ``l``        reciprocal of the spectral norm of L_rep.  This lower-bounds
                the true inverse-operator norm surrogate ||L^-1||^-1 in any
@@ -56,9 +52,7 @@ DENSE_BUDGET_BYTES = 2**30  # dense n^2 x n^2 arrays one call may hold
 @dataclass(frozen=True)
 class OperatorBundle:
     B: tuple[Array, ...]
-    L_rep: Array
     L_inv: Array
-    Pi_reps: tuple[Array, ...]
     l: float
     n_ops: tuple[float, ...]
     theta_is: tuple[float, ...]
@@ -72,7 +66,7 @@ class OperatorBundle:
 
     @property
     def n(self) -> int:
-        return self.B[0].shape[0] if self.B else int(np.sqrt(self.L_rep.shape[0]))
+        return int(np.sqrt(self.L_inv.shape[0]))
 
 
 def require_dense_budget(n: int, m: int, arrays: int, dtype) -> None:
@@ -89,7 +83,7 @@ def l_representation(B: tuple[Array, ...], n: int) -> Array:
     """I + sum(kron(B_i^T, B_i*)), in B's dtype; acts on vec(W) as vec(W + sum B_i* W B_i)."""
     L = np.eye(n * n, dtype=np.result_type(float, *B))
     for Bi in B:
-        L += linalg.kron(Bi.T, Bi.conj().T)
+        L += np.kron(Bi.T, Bi.conj().T)
     return L
 
 
@@ -120,7 +114,7 @@ def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
     B = tuple(Xinv @ Ai for Ai in instance.A)
     real = not any(Bi.imag.any() for Bi in B)
     B = tuple(Bi.real.copy() if real else Bi for Bi in B)
-    require_dense_budget(n, len(B), len(B) + 2, float if real else complex)  # L_rep, L_inv, P_i
+    require_dense_budget(n, len(B), 3, float if real else complex)  # L_rep, L_inv, one P_i
 
     L_rep = l_representation(B, n)
     s_max = linalg.spectral_norm(linalg.real_form(L_rep, n))
@@ -137,16 +131,13 @@ def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
     # trace(L_rep) >= n^2 forces ||L_rep|| >= 1, so l <= 1 <= 1 + theta.
     l = 1.0 / s_max
 
-    Pi_reps = tuple(np.add(*_structured_products(L_inv, Bi)) for Bi in B)
-    n_ops = tuple(linalg.spectral_norm(Pi) for Pi in Pi_reps)
+    n_ops = tuple(linalg.spectral_norm(np.add(*_structured_products(L_inv, Bi))) for Bi in B)
     theta_is = tuple(linalg.spectral_norm(Bi) for Bi in B)
     theta = float(sum(t * t for t in theta_is))
     zeta = linalg.spectral_norm(Xinv)
     return OperatorBundle(
         B=B,
-        L_rep=L_rep,
         L_inv=L_inv,
-        Pi_reps=Pi_reps,
         l=l,
         n_ops=n_ops,
         theta_is=theta_is,
@@ -156,14 +147,3 @@ def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
         "spectral(P_i) via scaled Gram eigenvalue" + (", float64 (real data)" if real else ""),
     )
 
-
-def apply_l(bundle: OperatorBundle, W: Array) -> Array:
-    """L acting directly on a matrix: W + sum(B_i* W B_i)."""
-    return linalg.apply_l(bundle.B, W)
-
-
-def solve_l(bundle: OperatorBundle, RHS: Array) -> Array:
-    """Solve L(V) = RHS through the vec representation."""
-    n = RHS.shape[0]
-    v = bundle.L_inv @ linalg.vec(RHS)
-    return linalg.unvec(v, n)

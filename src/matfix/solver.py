@@ -432,13 +432,6 @@ def residual(instance: EquationInstance, X: Array) -> tuple[Array, float]:
     return R, _hermitian_norm(R)
 
 
-def residual_raw(instance: EquationInstance, X: Array) -> tuple[Array, float]:
-    """Residual without Hermitian/positive-definite guards (raw-mode runs)."""
-    X = np.asarray(X, dtype=complex)
-    R = _apply_map(instance, X) - X
-    return R, linalg.spectral_norm(R)
-
-
 def scalar_solution(a: list[complex] | tuple[complex, ...], q: float) -> float:
     """Closed-form 1x1 solution x = (q + sqrt(q^2 + 4*sum|a_i|^2))/2."""
     s = sum(abs(ai) ** 2 for ai in a)

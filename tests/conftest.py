@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matfix import EquationInstance, SolveSettings, solve
+from matfix import EquationInstance, SolveSettings, solve, unvec, vec
 
 
 def make_random_instance(rng, n=None, m=None, coeff_scale=0.5, complex_data=True):
@@ -37,6 +37,22 @@ def solve_tight(instance, tol=1e-13):
     rep = solve(instance, SolveSettings(tol=tol, max_iter=5000))
     assert rep.converged
     return rep.X
+
+
+def operator_matrix_by_basis(B, n):
+    """Independent build of the vec-representation of W -> W + sum(Bi* W Bi).
+
+    Applies the operator entrywise to the canonical basis, never using the
+    Kronecker identity the production code relies on.
+    """
+    cols = []
+    for idx in range(n * n):
+        E = np.zeros(n * n, dtype=complex)
+        E[idx] = 1.0
+        W = unvec(E, n)
+        out = W + sum(Bi.conj().T @ W @ Bi for Bi in B)
+        cols.append(vec(out))
+    return np.column_stack(cols)
 
 
 @pytest.fixture

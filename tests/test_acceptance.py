@@ -44,6 +44,7 @@ from matfix.reference_values import (
     BENCHMARK3_TRAJECTORY,
     BENCHMARK4_CONDITION,
 )
+from matfix.operators import _structured_products, l_representation
 from matfix.solver import _apply_map
 from tests.conftest import make_random_instance
 
@@ -285,12 +286,13 @@ def test_criterion_6_property_suite():
     )
     for _ in range(10):
         W = hermitian_part(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        lhs = unvec(bundle.L_rep @ vec(W), 3)
+        lhs = unvec(l_representation(bundle.B, 3) @ vec(W), 3)
         rhs = W + sum(Bi.conj().T @ W @ Bi for Bi in bundle.B)
         worst_l = max(worst_l, float(np.abs(lhs - rhs).max()))
+        worst_l = max(worst_l, float(np.abs(unvec(bundle.L_inv @ vec(rhs), 3) - W).max()))
         Z = rng.standard_normal((3, 3))
         for i in range(2):
-            got = unvec(bundle.Pi_reps[i] @ vec(Z), 3)
+            got = unvec(np.add(*_structured_products(bundle.L_inv, bundle.B[i])) @ vec(Z), 3)
             target = bundle.B[i].conj().T @ Z + Z.conj().T @ bundle.B[i]
             V = unvec(np.linalg.solve(M, vec(target)), 3)
             worst_p = max(worst_p, float(np.abs(got - V).max()))

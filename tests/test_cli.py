@@ -208,6 +208,16 @@ class TestAnalyzeCommand:
         assert code == 1
         assert "do not match" in err
 
+    def test_operator_too_large_exit_1(self, capsys, monkeypatch):
+        # a refused size is invalid input, not non-convergence (exit 2)
+        monkeypatch.setattr("matfix.operators.DENSE_BUDGET_BYTES", 1)
+        code, out, err = run_cli(
+            capsys, "analyze", str(FIXTURES / "example1.json"), str(FIXTURES / "delta_j7.json"),
+        )
+        assert code == 1
+        assert out == ""
+        assert "OperatorTooLarge" in err
+
     def test_real_case_condition(self, capsys):
         code, doc, _ = run_structured(
             capsys, "analyze", str(FIXTURES / "example2.json"), str(FIXTURES / "delta_zero.json"),

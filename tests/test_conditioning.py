@@ -19,7 +19,7 @@ from matfix import (
 )
 from matfix.examples import benchmark_instance
 from matfix.reference_values import BENCHMARK4_CONDITION
-from tests.conftest import make_random_instance, solve_tight
+from tests.conftest import make_random_instance, operator_matrix_by_basis, solve_tight
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -61,7 +61,8 @@ def real_instance(rng, n=3, m=2, coeff_scale=0.5):
 def complex_block_row(bundle, rep):
     """The textbook 2n^2 x 2n^2(m+1) complex-case block row, from np.kron."""
     n = bundle.n
-    Linv, P, eye = np.linalg.inv(bundle.L_rep), vec_permutation(n), np.eye(n)
+    Linv = np.linalg.inv(operator_matrix_by_basis(bundle.B, n))
+    P, eye = vec_permutation(n), np.eye(n)
     S, Sig = Linv.real, Linv.imag
     blocks = [rep.rho * np.block([[S, -Sig], [Sig, S]])]
     for eta, Bi in zip(rep.etas, bundle.B):
@@ -175,8 +176,6 @@ class TestCondReal:
         # with the real-case construction.  The complex value itself can
         # strictly exceed the real one (it admits complex perturbation
         # directions), so only one-sided dominance holds for the values.
-        from matfix import inverse, kron, vec_permutation
-
         for _ in range(5):
             inst = real_instance(rng, n=int(rng.integers(2, 5)), m=int(rng.integers(1, 4)))
             X = solve_tight(inst).real
@@ -186,13 +185,13 @@ class TestCondReal:
             assert c_c.value >= c_r.value - 1e-10 * max(1, c_r.value)
 
             n = inst.n
-            Linv = inverse(bundle.L_rep)
+            Linv = inverse(operator_matrix_by_basis(bundle.B, n))
             assert np.abs(Linv.imag).max() < 1e-12
             P = vec_permutation(n)
             blocks = [c_r.rho * Linv.real]
             for i, Bi in enumerate(bundle.B):
-                M1 = Linv @ kron(np.eye(n), Bi.conj().T)
-                M2 = Linv @ kron(Bi.T, np.eye(n)) @ P
+                M1 = Linv @ np.kron(np.eye(n), Bi.conj().T)
+                M2 = Linv @ np.kron(Bi.T, np.eye(n)) @ P
                 assert np.abs(M1.imag).max() < 1e-12
                 assert np.abs(M2.imag).max() < 1e-12
                 blocks.append(c_r.etas[i] * (M1.real + M2.real))
@@ -227,6 +226,21 @@ class TestBlockRowAssembly:
         inst = real_instance(rng, n=3, m=2)
         X = solve_tight(inst).real
         rep = cond_real(inst, X, "relative")
+        row = real_block_row(inst, X, rep)
+        assert rep.value * rep.xi == pytest.approx(top_singular_value(row), rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["absolute", "relative"])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_real_case_grid(self, rng, n, m, mode, symmetric):
+        # a nonsymmetric real X (as from a raw-mode solve) takes the formula as written
+        inst = real_instance(rng, n=n, m=m)
+        X = solve_tight(inst).real
+        if not symmetric:
+            K = rng.standard_normal((n, n))
+            X = X + 0.1 * (K - K.T)
+        rep = cond_real(inst, X, mode)
         row = real_block_row(inst, X, rep)
         assert rep.value * rep.xi == pytest.approx(top_singular_value(row), rel=1e-12)
 

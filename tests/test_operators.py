@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,17 +7,21 @@ import pytest
 from matfix import (
     EquationInstance,
     OperatorTooLarge,
+    PerturbationSpec,
     SingularOperator,
     build_bundle,
+    cond_complex,
     cond_real,
+    first_order_delta,
     hermitian_part,
     inverse,
     unvec,
     vec,
     vec_permutation,
 )
-from matfix.operators import DENSE_BUDGET_BYTES, _structured_products, apply_l, solve_l
-from tests.conftest import make_random_instance, solve_tight
+from matfix.linalg import apply_l
+from matfix.operators import DENSE_BUDGET_BYTES, _structured_products, l_representation
+from tests.conftest import make_random_instance, operator_matrix_by_basis, solve_tight
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -40,31 +45,27 @@ def hermitian_basis(n):
     return basis
 
 
-def operator_matrix_by_basis(B, n):
-    """Independent build of the vec-representation of W -> W + sum(Bi* W Bi).
-
-    Applies the operator entrywise to the canonical basis, never using the
-    Kronecker identity the production code relies on.
-    """
-    cols = []
-    for idx in range(n * n):
-        E = np.zeros(n * n, dtype=complex)
-        E[idx] = 1.0
-        W = unvec(E, n)
-        out = W + sum(Bi.conj().T @ W @ Bi for Bi in B)
-        cols.append(vec(out))
-    return np.column_stack(cols)
-
-
 class TestBuildBundle:
     def test_zero_coefficients(self):
         inst = EquationInstance(A=[np.zeros((3, 3))], Q=np.diag([2.0, 3.0, 4.0]))
         bundle = build_bundle(inst, inst.Q)
-        assert np.array_equal(bundle.L_rep, np.eye(9))
+        assert np.array_equal(bundle.L_inv, np.eye(9))
         assert bundle.l == pytest.approx(1.0)
-        assert all(np.allclose(P, 0) for P in bundle.Pi_reps)
+        assert all(np.allclose(np.add(*_structured_products(bundle.L_inv, Bi)), 0) for Bi in bundle.B)
         assert bundle.n_ops == (0.0,)
         assert bundle.theta == 0.0
+
+    def test_l_inv_is_the_only_dense_array(self, rng):
+        n = 3
+        inst = make_random_instance(rng, n=n, m=2)
+        bundle = build_bundle(inst, solve_tight(inst))
+        dense = []
+        for field in dataclasses.fields(bundle):
+            value = getattr(bundle, field.name)
+            for item in value if isinstance(value, tuple) else (value,):
+                if np.size(item) > n * n:
+                    dense.append(field.name)
+        assert dense == ["L_inv"]
 
     def test_scalar_golden_values(self):
         inst = EquationInstance(A=[np.array([[1.0]])], Q=np.array([[1.0]]))
@@ -72,7 +73,7 @@ class TestBuildBundle:
         bundle = build_bundle(inst, np.array([[x]]))
         b = 1.0 / x
         assert bundle.B[0][0, 0].real == pytest.approx(b, abs=1e-12)
-        assert bundle.L_rep[0, 0].real == pytest.approx(1 + b * b, abs=1e-12)
+        assert bundle.L_inv[0, 0].real == pytest.approx(1 / (1 + b * b), abs=1e-12)
         # l is the reciprocal spectral norm of the L representation
         assert bundle.l == pytest.approx(1.0 / (1 + b * b), abs=1e-12)
         assert bundle.n_ops[0] == pytest.approx(2 * b / (1 + b * b), abs=1e-12)
@@ -86,9 +87,8 @@ class TestBuildBundle:
         bundle = build_bundle(inst, X)
         for _ in range(10):
             W = hermitian_part(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-            lhs = unvec(bundle.L_rep @ vec(W), 3)
             rhs = W + sum(Bi.conj().T @ W @ Bi for Bi in bundle.B)
-            assert np.abs(lhs - rhs).max() < 1e-12
+            assert np.abs(unvec(bundle.L_inv @ vec(rhs), 3) - W).max() < 1e-12
 
     def test_p_action_against_independent_solve(self, rng):
         inst = make_random_instance(rng, n=3, m=2)
@@ -98,7 +98,8 @@ class TestBuildBundle:
         for i in range(2):
             for _ in range(5):
                 Z = rng.standard_normal((3, 3))  # real argument: Z* = Z^T
-                got = unvec(bundle.Pi_reps[i] @ vec(Z), 3)
+                P = np.add(*_structured_products(bundle.L_inv, bundle.B[i]))
+                got = unvec(P @ vec(Z), 3)
                 rhs = bundle.B[i].conj().T @ Z + Z.conj().T @ bundle.B[i]
                 V = unvec(np.linalg.solve(M, vec(rhs)), 3)
                 assert np.abs(got - V).max() < 1e-10
@@ -108,7 +109,7 @@ class TestBuildBundle:
         X = solve_tight(inst)
         bundle = build_bundle(inst, X)
         M = operator_matrix_by_basis(bundle.B, 3)
-        assert np.abs(bundle.L_rep - M).max() < 1e-13
+        assert np.abs(l_representation(bundle.B, 3) - M).max() < 1e-13
 
     def test_l_bounded_and_positive(self, rng):
         for _ in range(5):
@@ -129,7 +130,7 @@ class TestBuildBundle:
         X = solve_tight(inst)
         bundle = build_bundle(inst, X)
         for W in hermitian_basis(3):
-            img = unvec(bundle.L_rep @ vec(W), 3)
+            img = unvec(bundle.L_inv @ vec(W), 3)
             assert np.abs(img - img.conj().T).max() < 1e-13
 
     def test_singular_operator_detected(self):
@@ -151,9 +152,12 @@ class TestBuildBundle:
     def test_surrogates_match_svd(self, rng, n, complex_data):
         inst = make_random_instance(rng, n=n, m=2, complex_data=complex_data)
         bundle = build_bundle(inst, solve_tight(inst))
-        s_L = np.linalg.svd(bundle.L_rep, compute_uv=False)[0]
+        L = operator_matrix_by_basis(bundle.B, n)
+        s_L = np.linalg.svd(L, compute_uv=False)[0]
         assert bundle.l == pytest.approx(1.0 / s_L, rel=1e-12)
-        for Pi, n_i in zip(bundle.Pi_reps, bundle.n_ops):
+        L_inv, eye, P = np.linalg.inv(L), np.eye(n), vec_permutation(n)
+        for Bi, n_i in zip(bundle.B, bundle.n_ops):
+            Pi = L_inv @ (np.kron(eye, Bi.conj().T) + np.kron(Bi.T, eye) @ P)
             assert n_i == pytest.approx(np.linalg.svd(Pi, compute_uv=False)[0], rel=1e-12)
 
 
@@ -168,8 +172,8 @@ class TestRealData:
         bundle = build_bundle(inst, X)
         dtype = np.complex128 if complex_data else np.float64
         assert all(Bi.dtype == dtype for Bi in bundle.B)
-        assert bundle.L_rep.dtype == bundle.L_inv.dtype == dtype
-        assert all(Pi.dtype == dtype for Pi in bundle.Pi_reps)
+        assert l_representation(bundle.B, n).dtype == bundle.L_inv.dtype == dtype
+        assert all(np.add(*_structured_products(bundle.L_inv, Bi)).dtype == dtype for Bi in bundle.B)
         assert bundle.norm_kind.startswith("dense-exact")
         assert ("float64" in bundle.norm_kind) is not complex_data
 
@@ -188,7 +192,8 @@ class TestRealData:
 class TestDenseBudget:
     @pytest.mark.parametrize("call", ["build_bundle", "cond_real"])
     def test_refused_before_allocating(self, call):
-        # n = 100: L_rep alone would be 0.8 GB in float64, the bundle 2.4 GB
+        # n = 100: L_rep alone would be 0.8 GB in float64; build_bundle holds
+        # L_rep, L_inv and one P_i, cond_real its operator and the inverse
         n = 100
         inst = EquationInstance(A=[np.zeros((n, n))], Q=np.eye(n))
         X = np.eye(n)
@@ -206,8 +211,26 @@ class TestDenseBudget:
         message = str(info.value)
         assert "n=100" in message and "m=1" in message
         assert str(DENSE_BUDGET_BYTES) in message
-        expected = (3 if call == "build_bundle" else 4) * n**4 * 8
+        expected = (3 if call == "build_bundle" else 2) * n**4 * 8
         assert f"{expected} B" in message
+
+    def test_cond_complex_row_refused_before_allocating(self, rng, monkeypatch):
+        # the n^2 x n^2(2m+1) float64 row is checked before it is allocated
+        n, m = 10, 2
+        inst = make_random_instance(rng, n=n, m=m)
+        X = solve_tight(inst)
+        bundle = build_bundle(inst, X)
+        row_bytes = (2 * m + 1) * n**4 * 8
+        monkeypatch.setattr("matfix.operators.DENSE_BUDGET_BYTES", row_bytes - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OperatorTooLarge) as info:
+                cond_complex(inst, X, bundle, "relative")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < row_bytes // 4
+        assert f"need {row_bytes} B" in str(info.value)
 
 
 class TestStructuredProducts:
@@ -228,8 +251,10 @@ class TestStructuredProducts:
     def test_pi_reps_match_dense_build(self, rng):
         inst = make_random_instance(rng, n=4, m=2)
         bundle = build_bundle(inst, solve_tight(inst))
-        L_inv, eye, P = inverse(bundle.L_rep), np.eye(4), vec_permutation(4)
-        for Bi, Pi in zip(bundle.B, bundle.Pi_reps):
+        L_inv = inverse(operator_matrix_by_basis(bundle.B, 4))
+        eye, P = np.eye(4), vec_permutation(4)
+        for Bi in bundle.B:
+            Pi = np.add(*_structured_products(bundle.L_inv, Bi))
             dense = L_inv @ (np.kron(eye, Bi.conj().T) + np.kron(Bi.T, eye) @ P)
             assert np.abs(Pi - dense).max() < 1e-13
 
@@ -237,14 +262,16 @@ class TestStructuredProducts:
         inst = make_random_instance(rng, n=4, m=2)
         bundle = build_bundle(inst, solve_tight(inst))
         assert bundle.L_inv.shape == (16, 16)
-        assert np.array_equal(bundle.L_inv, inverse(bundle.L_rep))
+        assert np.array_equal(bundle.L_inv, inverse(l_representation(bundle.B, 4)))
         assert bundle.n == 4
 
 
 class TestOperatorHelpers:
     def test_apply_and_solve_roundtrip(self, rng):
+        # first_order_delta with dA = 0 solves L(V) = dQ through the bundle's L^-1
         inst = make_random_instance(rng, n=4, m=2)
         X = solve_tight(inst)
         bundle = build_bundle(inst, X)
         W = hermitian_part(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        assert np.abs(solve_l(bundle, apply_l(bundle, W)) - W).max() < 1e-11
+        spec = PerturbationSpec(dA=[np.zeros((4, 4))] * 2, dQ=apply_l(bundle.B, W))
+        assert np.abs(first_order_delta(bundle, spec) - W).max() < 1e-11

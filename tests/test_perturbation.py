@@ -24,7 +24,7 @@ from matfix.examples import (
     benchmark2_deterministic_deltas,
     benchmark_instance,
 )
-from tests.conftest import make_random_instance, solve_tight
+from tests.conftest import make_random_instance, operator_matrix_by_basis, solve_tight
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -253,7 +253,9 @@ class TestFirstOrderDelta:
         bundle = build_bundle(inst, X)
         spec = benchmark2_deterministic_deltas(6)
         RHS = spec.dQ + sum(Bi.conj().T @ Di + Di.conj().T @ Bi for Bi, Di in zip(bundle.B, spec.dA))
-        expected = hermitian_part(unvec(np.linalg.solve(bundle.L_rep, vec(RHS)), inst.n))
+        expected = hermitian_part(
+            unvec(np.linalg.solve(operator_matrix_by_basis(bundle.B, inst.n), vec(RHS)), inst.n)
+        )
         dX = first_order_delta(bundle, spec)
         assert np.abs(dX - expected).max() <= 1e-14 * np.abs(expected).max()
 
