@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatch,
     EigenSolverError,
     MatfixError,
-    MaxIterationsExceeded,
     NonzeroDeltaQ,
     NotHermitian,
     NotPositiveDefinite,
@@ -79,7 +78,6 @@ __all__ = [
     "EquationInstance",
     "MatfixError",
     "MatrixInterval",
-    "MaxIterationsExceeded",
     "NonzeroDeltaQ",
     "NotHermitian",
     "NotPositiveDefinite",

@@ -10,12 +10,12 @@ Three nested containment statements are computed:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import MaxIterationsExceeded
 from .solver import EquationInstance
 
 Array = np.ndarray
@@ -27,8 +27,6 @@ class ScalarBounds:
 
     alpha: float
     beta: float
-    iterations: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -48,41 +46,33 @@ def _singular_value_extremes(A: Array) -> tuple[float, float]:
     return float(s[-1]), float(s[0])
 
 
-def scalar_bounds(
-    instance: EquationInstance, tol: float = 1e-14, max_iter: int = 10000
-) -> ScalarBounds:
-    """Iterate the coupled scalar recurrences to their fixed point (alpha, beta).
+def scalar_bounds(instance: EquationInstance) -> ScalarBounds:
+    """The fixed point (alpha, beta) of the coupled scalar recurrences
 
     beta_0 = lambda_min(Q),
     alpha_k = lambda_max(Q) + sum(lambda_max(Ai*Ai)) / beta_k,
     beta_{k+1} = lambda_min(Q) + sum(lambda_min(Ai*Ai)) / alpha_k,
 
-    stopping when |d alpha| + |d beta| < tol (or when the doubles stop
-    changing at all, which covers large-magnitude data where tol is below
-    resolution).  The alpha sequence is non-increasing, beta non-decreasing.
+    in closed form.  The alpha sequence is non-increasing, beta
+    non-decreasing, and both meet where beta is the positive root of a
+    quadratic.  In units of q2 = lambda_max(Q), with u = lambda_min(Q)/q2,
+    a = sum(s_min(Ai/q2)^2), b = sum(s_max(Ai/q2)^2), p = u + a - b, the
+    root is t = (p + sqrt(p^2 + 4ub))/2, evaluated as 2ub/(sqrt(.) - p) when
+    p < 0 so that nothing cancels; beta = q2 t and alpha = q2 (1 + b/t).
+    Working in units of q2 squares no data-scale quantity, so the result is
+    scale covariant: scalar_bounds(sA, sQ) = s scalar_bounds(A, Q).
     """
-    lam_min_q, lam_max_q = linalg.eig_extremes(linalg.hermitian_part(instance.Q))
-    s_max = 0.0
-    s_min = 0.0
+    q1, q2 = linalg.eig_extremes(linalg.hermitian_part(instance.Q))
+    u = q1 / q2
+    a = b = 0.0
     for Ai in instance.A:
-        lo, hi = _singular_value_extremes(Ai)
-        s_max += hi * hi
-        s_min += lo * lo
-
-    beta = lam_min_q
-    alpha_prev = np.inf
-    for k in range(1, max_iter + 1):
-        alpha = lam_max_q + s_max / beta
-        beta_next = lam_min_q + s_min / alpha
-        delta = abs(alpha - alpha_prev) + abs(beta_next - beta)
-        stalled = alpha == alpha_prev and beta_next == beta
-        alpha_prev, beta = alpha, beta_next
-        if delta < tol or stalled:
-            return ScalarBounds(alpha=float(alpha), beta=float(beta), iterations=k, converged=True)
-    raise MaxIterationsExceeded(
-        f"scalar bounds did not meet tol={tol} within {max_iter} iterations "
-        f"(alpha={alpha_prev}, beta={beta})"
-    )
+        lo, hi = _singular_value_extremes(Ai / q2)
+        a += lo * lo
+        b += hi * hi
+    p = u + a - b
+    r = math.sqrt(p * p + 4.0 * u * b)
+    t = (p + r) / 2.0 if p >= 0.0 else 2.0 * u * b / (r - p)
+    return ScalarBounds(alpha=q2 * (1.0 + b / t), beta=q2 * t)
 
 
 def coarse_interval(instance: EquationInstance) -> MatrixInterval:
@@ -97,8 +87,6 @@ def coarse_interval(instance: EquationInstance) -> MatrixInterval:
 
 def refined_interval(instance: EquationInstance, sb: ScalarBounds) -> MatrixInterval:
     """[Q + (1/alpha) sum(Ai*Ai), Q + (1/beta) sum(Ai*Ai)], inside [beta I, alpha I]."""
-    if not sb.converged:
-        raise ValueError("refined_interval requires converged scalar bounds")
     Q = linalg.hermitian_part(instance.Q)
     gram = np.zeros_like(Q)
     for Ai in instance.A:

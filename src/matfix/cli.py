@@ -1,8 +1,9 @@
 """Command-line front end: solve, analyze, reproduce.
 
-Exit codes: 0 success, 1 invalid input (an instance too large for the
-dense operators included), 2 numerical non-convergence, 3 analysis
-completed but at least one requested bound's feasibility condition failed.
+Exit codes: 0 success, 1 invalid input (usage errors and an instance too
+large for the dense operators included), 2 numerical non-convergence, 3
+analysis completed but at least one requested bound's feasibility
+condition failed.
 
 Structured output is a single JSON document on one compact line, carrying
 the schema version, the command echo, settings, wall clock, and per-module
@@ -18,6 +19,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -79,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="residual tolerance in the spectral norm (default 1e-10)")
         p.add_argument("--max-iter", type=int, default=1000)
         p.add_argument("--format", choices=["text", "structured"], default="text")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed; MATFIX_SEED overrides the built-in default")
 
     p_solve = sub.add_parser("solve", help="solve one equation instance from a file")
     p_solve.add_argument("input", help="instance file (JSON)")
@@ -100,6 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="regenerate a bundled benchmark table")
     p_rep.add_argument("example", type=int, choices=[1, 2, 3, 4])
+    p_rep.add_argument("--seed", type=int, default=None,
+                       help="RNG seed; MATFIX_SEED overrides the built-in default")
     common(p_rep)
     return parser
 
@@ -134,6 +136,10 @@ def _parse_x0(arg: str):
     raise ParseError(f"--x0 must be q | identity | scale:<c> | file:<path>, got {arg!r}")
 
 
+def _tol(args) -> float:
+    return args.tol if args.tol is not None else 1e-10
+
+
 def _fmt(x: float) -> str:
     return f"{x:.4e}"
 
@@ -151,11 +157,7 @@ def _matrix_lines(M, indent: str = "  ") -> list[str]:
 
 def _cmd_solve(args) -> tuple[dict, list[str], int]:
     instance = parse_instance(args.input)
-    settings = SolveSettings(
-        x0=_parse_x0(args.x0),
-        tol=args.tol if args.tol is not None else 1e-10,
-        max_iter=args.max_iter,
-    )
+    settings = SolveSettings(x0=_parse_x0(args.x0), tol=_tol(args), max_iter=args.max_iter)
     report = solve(instance, settings, allow_nonhermitian=args.allow_nonhermitian)
 
     payload: dict = {
@@ -217,7 +219,7 @@ def _condition_payload(rep) -> dict:
         "feasible": True,
         "relative_bound": rep.relative_bound,
         "absolute_bound": rep.absolute_bound,
-        "conditions": {k: {"value": v.value, "passed": v.passed} for k, v in rep.conditions.items()},
+        "conditions": {k: asdict(v) for k, v in rep.conditions.items()},
         "inputs": rep.inputs_echo,
     }
 
@@ -225,31 +227,18 @@ def _condition_payload(rep) -> dict:
 def _cmd_analyze(args) -> tuple[dict, list[str], int]:
     instance = parse_instance(args.input)
     delta = parse_delta(args.delta, instance)
-    settings = SolveSettings(
-        tol=args.tol if args.tol is not None else 1e-10, max_iter=args.max_iter
-    )
+    settings = SolveSettings(tol=_tol(args), max_iter=args.max_iter)
     report = solve(instance, settings)
+    payload: dict = {"solve": {"converged": report.converged, "iterations": report.iterations,
+                               "residual_norm": report.residual_norm}}
     if not report.converged:
-        return (
-            {"solve": {"converged": False, "iterations": report.iterations,
-                       "residual_norm": report.residual_norm}},
-            [f"solve did not converge within {report.iterations} iterations "
-             f"(residual {_fmt(report.residual_norm)})"],
-            EXIT_NOT_CONVERGED,
-        )
+        return payload, [f"solve did not converge within {report.iterations} iterations "
+                         f"(residual {_fmt(report.residual_norm)})"], EXIT_NOT_CONVERGED
     X = report.X
     sb = scalar_bounds(instance)
     bundle = build_bundle(instance, X)
-
-    payload: dict = {
-        "solve": {
-            "converged": True,
-            "iterations": report.iterations,
-            "residual_norm": report.residual_norm,
-        },
-        "bounds": {"alpha": sb.alpha, "beta": sb.beta},
-        "delta_norms": {"dA": list(delta.da_norms), "dQ": delta.dq_norm},
-    }
+    payload["bounds"] = {"alpha": sb.alpha, "beta": sb.beta}
+    payload["delta_norms"] = {"dA": list(delta.da_norms), "dQ": delta.dq_norm}
     lines = [
         f"solve: iterations={report.iterations} residual={_fmt(report.residual_norm)}",
         f"bounds: beta={sb.beta:.6f} alpha={sb.alpha:.6f}",
@@ -259,9 +248,7 @@ def _cmd_analyze(args) -> tuple[dict, list[str], int]:
     ]
 
     feas = feasibility_table(instance, sb, bundle, delta)
-    payload["feasibility"] = {
-        k: {"value": v.value, "passed": v.passed} for k, v in feas.items()
-    }
+    payload["feasibility"] = {k: asdict(v) for k, v in feas.items()}
     lines.append("feasibility: " + "  ".join(
         f"{k}={v.value:.4f}{'' if v.passed else '(FAIL)'}" for k, v in feas.items()
     ))
@@ -287,38 +274,20 @@ def _cmd_analyze(args) -> tuple[dict, list[str], int]:
             lines.append(f"{kind}: not applicable (dQ != 0)")
 
     back = backward_bound(instance, X)
-    payload["backward"] = {
-        "Sigma": back.Sigma,
-        "residual_norm": back.residual_norm,
-        "threshold": back.threshold,
-        "theta": back.theta,
-        "bound": back.bound,
-        "feasible": back.feasible,
-    }
-    lines.append(
-        f"backward: Sigma={back.Sigma:.4f} bound={_fmt(back.bound)} feasible={back.feasible}"
-    )
+    payload["backward"] = asdict(back)
+    lines.append(f"backward: Sigma={back.Sigma:.4f} bound={_fmt(back.bound)} feasible={back.feasible}")
 
     if args.case == "real":
         cond = cond_real(instance, X, args.mode)
     else:
         cond = cond_complex(instance, X, bundle, args.mode)
-    payload["condition"] = {
-        "mode": cond.mode,
-        "case": cond.case,
-        "value": cond.value,
-        "xi": cond.xi,
-        "rho": cond.rho,
-        "etas": list(cond.etas),
-    }
+    payload["condition"] = asdict(cond)
     lines.append(f"condition ({cond.case}, {cond.mode}): {cond.value:.6f}")
 
     fod = first_order_delta(bundle, delta)
-    payload["first_order"] = {
-        "dX": matrix_to_obj(fod),
-        "frobenius_norm": linalg.frobenius_norm(fod),
-    }
-    lines.append(f"first-order dX: |dX|_F={_fmt(linalg.frobenius_norm(fod))}")
+    fod_norm = linalg.frobenius_norm(fod)
+    payload["first_order"] = {"dX": matrix_to_obj(fod), "frobenius_norm": fod_norm}
+    lines.append(f"first-order dX: |dX|_F={_fmt(fod_norm)}")
 
     code = EXIT_CONDITION_VIOLATED if violated else EXIT_OK
     if violated:
@@ -335,27 +304,35 @@ def _dev(ours: float, published: float) -> float:
     return abs(ours - published) / abs(published)
 
 
+def _devs(ours: dict, published: dict) -> dict:
+    """Deviation of each of our values from the published one of that key."""
+    return {k: _dev(ours[k], published[k]) for k in ours}
+
+
+def _row(widths, cells) -> str:
+    """Table row (or header): each cell right-aligned in its width."""
+    return " ".join(f"{c:>{w}s}" for w, c in zip(widths, cells))
+
+
 def _reproduce_1(args, seed: int) -> tuple[dict, list[str], int]:
     instance = benchmark_instance(1)
     sb = scalar_bounds(instance)
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = _tol(args)
     rep = solve(instance, SolveSettings(x0=1.1, tol=tol, max_iter=args.max_iter))
     ref = BENCHMARK1
-    Xref = np.array(ref["X"])
-    max_dev = float(np.abs(rep.X.real - Xref).max())
-    scal = scalar_interval(instance, sb)
-    inside = membership(rep.X, scal, 10.0 * max(rep.residual_norm, tol))
+    scalars = {"beta": sb.beta, "alpha": sb.alpha}
+    devs = _devs(scalars, ref)
+    max_dev = float(np.abs(rep.X.real - np.array(ref["X"])).max())
+    inside = membership(rep.X, scalar_interval(instance, sb), 10.0 * max(rep.residual_norm, tol))
     payload = {
-        "beta": sb.beta,
-        "alpha": sb.alpha,
+        **scalars,
         "iterations": rep.iterations,
         "residual_norm": rep.residual_norm,
         "converged": rep.converged,
         "X": matrix_to_obj(rep.X),
         "in_scalar_interval": inside,
         "deviations": {
-            "beta": _dev(sb.beta, ref["beta"]),
-            "alpha": _dev(sb.alpha, ref["alpha"]),
+            **devs,
             "iterations": rep.iterations - ref["iterations"],
             "residual": _dev(rep.residual_norm, ref["residual"]),
             "X_max_abs": max_dev,
@@ -363,8 +340,7 @@ def _reproduce_1(args, seed: int) -> tuple[dict, list[str], int]:
     }
     lines = [
         "benchmark 1",
-        f"beta={sb.beta:.6f} (published {ref['beta']}, dev {_fmt(_dev(sb.beta, ref['beta']))})",
-        f"alpha={sb.alpha:.6f} (published {ref['alpha']}, dev {_fmt(_dev(sb.alpha, ref['alpha']))})",
+        *(f"{k}={v:.6f} (published {ref[k]}, dev {_fmt(devs[k])})" for k, v in scalars.items()),
         f"iterations={rep.iterations} (published {ref['iterations']})",
         f"residual={_fmt(rep.residual_norm)} (published {_fmt(ref['residual'])})",
         f"max |X - X_published| = {_fmt(max_dev)}",
@@ -372,152 +348,111 @@ def _reproduce_1(args, seed: int) -> tuple[dict, list[str], int]:
         "X:",
         *_matrix_lines(rep.X),
     ]
-    code = EXIT_OK if rep.converged else EXIT_NOT_CONVERGED
-    return payload, lines, code
+    return payload, lines, EXIT_OK if rep.converged else EXIT_NOT_CONVERGED
 
 
 def _reproduce_2(args, seed: int) -> tuple[dict, list[str], int]:
     instance = benchmark_instance(2)
-    base = solve(instance, SolveSettings(tol=1e-13, max_iter=2000))
-    X = base.X
+    fine = SolveSettings(tol=1e-13, max_iter=2000)
+    X = solve(instance, fine).X
     norm_x = linalg.spectral_norm(X)
     sb = scalar_bounds(instance)
     bundle = build_bundle(instance, X)
     rng = np.random.default_rng(seed)
 
-    columns = {}
-    for j in (4, 5, 6, 7):
+    columns, measured = {}, {}
+    for j, published in BENCHMARK2_CONDITIONS.items():
         det = benchmark2_deterministic_deltas(j)
         feas = feasibility_table(instance, sb, bundle, det)
-        bound_xi1 = xi1(instance, sb, det).relative_bound
-        bound_xi2 = xi2(instance, sb, det, X).relative_bound
-        # published table carries the absolute operator bound in this row
-        bound_nu = xi3(instance, X, bundle, det).absolute_bound
         errs = []
         for _ in range(20):
-            spec = benchmark2_random_deltas(j, rng)
-            pert = EquationInstance(
-                A=[instance.A[i] + spec.dA[i] for i in range(instance.m)],
-                Q=instance.Q,
-            )
-            prep = solve(pert, SolveSettings(tol=1e-13, max_iter=2000))
-            errs.append(linalg.spectral_norm(prep.X - X) / norm_x)
-        true_gm = float(np.exp(np.mean(np.log(errs))))
-        refc = BENCHMARK2_CONDITIONS[j]
-        refb = BENCHMARK2_BOUNDS[j]
+            dA = benchmark2_random_deltas(j, rng).dA
+            pert = EquationInstance(A=[Ai + D for Ai, D in zip(instance.A, dA)], Q=instance.Q)
+            errs.append(linalg.spectral_norm(solve(pert, fine).X - X) / norm_x)
+        bounds = {
+            "xi1": xi1(instance, sb, det).relative_bound,
+            "xi2": xi2(instance, sb, det, X).relative_bound,
+            # published table carries the absolute operator bound in this row
+            "nu_star": xi3(instance, X, bundle, det).absolute_bound,
+        }
+        measured[j] = {"true_rel_error": float(np.exp(np.mean(np.log(errs)))), **bounds}
+        conditions = {k: v.value for k, v in feas.items()}
         columns[str(j)] = {
-            "conditions": {k: v.value for k, v in feas.items()},
+            "conditions": conditions,
             "conditions_pass": all(v.passed for v in feas.values()),
-            "true_rel_error_geomean": true_gm,
-            "xi1": bound_xi1,
-            "xi2": bound_xi2,
-            "nu_star": bound_nu,
+            "true_rel_error_geomean": measured[j]["true_rel_error"],
+            **bounds,
             "deviations": {
-                **{k: _dev(feas[k].value, refc[k]) for k in refc},
-                "xi1": _dev(bound_xi1, refb["xi1"]),
-                "xi2": _dev(bound_xi2, refb["xi2"]),
-                "nu_star": _dev(bound_nu, refb["nu_star"]),
-                "true_rel_error": _dev(true_gm, refb["true_rel_error"]),
+                **_devs(conditions, published),
+                **_devs(measured[j], BENCHMARK2_BOUNDS[j]),
             },
         }
 
-    lines = ["benchmark 2 (20 random draws per column, geometric mean)", ""]
-    js = ["4", "5", "6", "7"]
-    lines.append("condition table")
-    header = f"{'':14s}" + "".join(f"{'j=' + j:>14s}" for j in js)
-    lines.append(header)
-    for name in ("con1", "con2", "con3", "con4", "con5", "con6"):
-        row = f"{name:14s}" + "".join(
-            f"{columns[j]['conditions'][name]:>14.4f}" for j in js
-        )
-        lines.append(row)
-    lines.append("")
-    lines.append("bound table (deviation vs published in parentheses)")
-    lines.append(header)
-    for name, key in (
-        ("true_rel_err", "true_rel_error_geomean"),
-        ("xi1", "xi1"),
-        ("xi2", "xi2"),
-        ("nu_star", "nu_star"),
-    ):
-        row = f"{name:14s}" + "".join(f"{columns[j][key]:>14.4e}" for j in js)
-        lines.append(row)
-        dev_key = "true_rel_error" if name == "true_rel_err" else name
-        row = f"{'':14s}" + "".join(
-            f"({columns[j]['deviations'][dev_key]:>11.2e})" for j in js
-        )
-        lines.append(row)
-    payload = {"columns": columns, "seed": seed}
-    return payload, lines, EXIT_OK
+    header = f"{'':14s}" + "".join(f"{'j=' + j:>14s}" for j in columns)
+    lines = ["benchmark 2 (20 random draws per column, geometric mean)", "",
+             "condition table", header]
+    for name in published:  # the last column's rows, which every column shares
+        lines.append(f"{name:14s}" + "".join(f"{c['conditions'][name]:>14.4f}"
+                                             for c in columns.values()))
+    lines += ["", "bound table (deviation vs published in parentheses)", header]
+    for name in BENCHMARK2_BOUNDS[j]:  # likewise
+        # labels are cut to 12 characters: true_rel_error prints as true_rel_err
+        lines.append(f"{name:14.12s}" + "".join(f"{m[name]:>14.4e}" for m in measured.values()))
+        lines.append(f"{'':14s}" + "".join(f"({c['deviations'][name]:>11.2e})"
+                                           for c in columns.values()))
+    return {"columns": columns, "seed": seed}, lines, EXIT_OK
 
 
 def _reproduce_3(args, seed: int) -> tuple[dict, list[str], int]:
     instance = benchmark_instance(3)
     A0 = tridiagonal_seed()
-    ref_solve = solve(instance, SolveSettings(x0=A0, tol=1e-13, max_iter=2000))
-    Xref = ref_solve.X
+    Xref = solve(instance, SolveSettings(x0=A0, tol=1e-13, max_iter=2000)).X
+    widths = (2, 14, 14, 11, 11)
+    lines = ["benchmark 3 (trajectory from the seed matrix; reference solve tol 1e-13)",
+             _row(widths, ("k", "error", "bound", "dev(err)", "dev(bnd)"))]
     rows = {}
     Xt = A0.astype(complex)
-    for k in range(1, 5):
+    for k, published in BENCHMARK3_TRAJECTORY.items():
         Xt = linalg.hermitian_part(_apply_map(instance, Xt))
-        err = linalg.spectral_norm(Xt - Xref)
         back = backward_bound(instance, Xt)
-        ref = BENCHMARK3_TRAJECTORY[k]
+        ours = {"error": linalg.spectral_norm(Xt - Xref), "bound": back.bound}
+        devs = _devs(ours, published)
         rows[str(k)] = {
-            "error": err,
-            "bound": back.bound,
+            **ours,
             "feasible": back.feasible,
-            "dominates": bool(back.bound >= err),
-            "deviations": {
-                "error": _dev(err, ref["error"]),
-                "bound": _dev(back.bound, ref["bound"]),
-            },
+            "dominates": bool(back.bound >= ours["error"]),
+            "deviations": devs,
         }
-    lines = ["benchmark 3 (trajectory from the seed matrix; reference solve tol 1e-13)"]
-    lines.append(f"{'k':>2s} {'error':>14s} {'bound':>14s} {'dev(err)':>11s} {'dev(bnd)':>11s}")
-    for k in ("1", "2", "3", "4"):
-        r = rows[k]
-        lines.append(
-            f"{k:>2s} {r['error']:>14.4e} {r['bound']:>14.4e} "
-            f"{r['deviations']['error']:>11.2e} {r['deviations']['bound']:>11.2e}"
-        )
-    payload = {"rows": rows}
-    return payload, lines, EXIT_OK
+        lines.append(_row(widths, (str(k), *(f"{v:.4e}" for v in ours.values()),
+                                   *(f"{v:.2e}" for v in devs.values()))))
+    return {"rows": rows}, lines, EXIT_OK
 
 
 def _reproduce_4(args, seed: int) -> tuple[dict, list[str], int]:
-    tol = args.tol if args.tol is not None else 1e-10
+    settings = SolveSettings(tol=_tol(args), max_iter=args.max_iter)
+    widths = (2, 10, 10, 11, 9)
+    lines = ["benchmark 4 (right-hand side as published; raw iteration)",
+             _row(widths, ("k", "c_rel", "published", "dev", "fallback"))]
     rows = {}
-    for k in (1, 3, 5, 7, 9):
+    for k, published in BENCHMARK4_CONDITION.items():
         instance = benchmark_instance(4, k)
-        rep = solve(instance, SolveSettings(tol=tol, max_iter=args.max_iter),
-                    allow_nonhermitian=True)
-        substituted = False
-        if rep.converged:
-            crel = cond_real(instance, rep.X, "relative").value
-        else:
+        rep = solve(instance, settings, allow_nonhermitian=True)
+        substituted = not rep.converged
+        if substituted:
             # symmetrized-Q fallback; flagged so the report is honest about it
-            substituted = True
-            inst2 = benchmark4_symmetrized(k)
-            rep = solve(inst2, SolveSettings(tol=tol, max_iter=args.max_iter))
-            crel = cond_real(inst2, rep.X, "relative").value
-        ref = BENCHMARK4_CONDITION[k]
+            instance = benchmark4_symmetrized(k)
+            rep = solve(instance, settings)
+        crel = cond_real(instance, rep.X, "relative").value
+        dev = _dev(crel, published)
         rows[str(k)] = {
             "c_rel": crel,
             "iterations": rep.iterations,
             "substituted_symmetrized_q": substituted,
-            "deviation": _dev(crel, ref),
+            "deviation": dev,
         }
-    lines = ["benchmark 4 (right-hand side as published; raw iteration)"]
-    lines.append(f"{'k':>2s} {'c_rel':>10s} {'published':>10s} {'dev':>11s} {'fallback':>9s}")
-    for k in ("1", "3", "5", "7", "9"):
-        r = rows[k]
-        lines.append(
-            f"{k:>2s} {r['c_rel']:>10.4f} {BENCHMARK4_CONDITION[int(k)]:>10.4f} "
-            f"{r['deviation']:>11.2e} {str(r['substituted_symmetrized_q']):>9s}"
-        )
-    payload = {"rows": rows}
-    return payload, lines, EXIT_OK
+        lines.append(_row(widths, (str(k), f"{crel:.4f}", f"{published:.4f}", f"{dev:.2e}",
+                                   str(substituted))))
+    return {"rows": rows}, lines, EXIT_OK
 
 
 def _cmd_reproduce(args) -> tuple[dict, list[str], int]:
@@ -531,17 +466,17 @@ def _cmd_reproduce(args) -> tuple[dict, list[str], int]:
 # ----------------------------------------------------------------- main ----
 
 
+COMMANDS = {"solve": _cmd_solve, "analyze": _cmd_analyze, "reproduce": _cmd_reproduce}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_INVALID_INPUT if exc.code else EXIT_OK
     started = time.perf_counter()
     try:
-        if args.command == "solve":
-            payload, lines, code = _cmd_solve(args)
-        elif args.command == "analyze":
-            payload, lines, code = _cmd_analyze(args)
-        else:
-            payload, lines, code = _cmd_reproduce(args)
+        payload, lines, code = COMMANDS[args.command](args)
     except (ParseError, ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -37,6 +37,10 @@ from .solver import EquationInstance, SolveSettings, solve
 
 Array = np.ndarray
 
+# cond_real accepts complex input whose imaginary part is below this
+# fraction of its largest entry modulus (floored at 1)
+IMAG_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -99,12 +103,12 @@ def cond_complex(
     return _condition(instance, X, bundle.L_inv, bundle.B, mode, "complex")
 
 
-def _require_real(M: Array, what: str, tol: float) -> Array:
+def _require_real(M: Array, what: str) -> Array:
     M = np.asarray(M)
     if np.iscomplexobj(M):
         scale = max(float(np.abs(M).max()), 1.0)
-        if float(np.abs(M.imag).max()) > tol * scale:
-            raise NotReal(f"{what} has imaginary part beyond tolerance {tol}")
+        if float(np.abs(M.imag).max()) > IMAG_TOL * scale:
+            raise NotReal(f"{what} has imaginary part beyond tolerance {IMAG_TOL}")
         return np.ascontiguousarray(M.real)
     return np.asarray(M, dtype=float)
 
@@ -113,7 +117,6 @@ def cond_real(
     instance: EquationInstance,
     X: Array,
     mode: str = "relative",
-    imag_tol: float = 1e-12,
 ) -> ConditionReport:
     """Condition number for real data via the real-case block construction.
 
@@ -121,9 +124,9 @@ def cond_real(
     also accepts a nonsymmetric real X from a raw-mode solve.
     """
     n = instance.n
-    Xr = _require_real(X, "X", imag_tol)
-    _require_real(instance.Q, "Q", imag_tol)
-    As = [_require_real(Ai, f"A[{i}]", imag_tol) for i, Ai in enumerate(instance.A)]
+    Xr = _require_real(X, "X")
+    _require_real(instance.Q, "Q")
+    As = [_require_real(Ai, f"A[{i}]") for i, Ai in enumerate(instance.A)]
     require_dense_budget(n, len(As), 2, float)  # I + sum(kron(C_i, C_i)) and its inverse
     Xinv = linalg.inverse(Xr)
     B = tuple((Ai.T @ Xinv).T for Ai in As)

@@ -59,10 +59,6 @@ class OperatorTooLarge(MatfixError):
     """The dense n^2 x n^2 operator matrices would exceed the memory budget."""
 
 
-class MaxIterationsExceeded(MatfixError):
-    """An iteration hit its iteration cap before meeting its tolerance."""
-
-
 class ConditionViolated(MatfixError):
     """A bound's applicability condition fails for the given data.
 

@@ -106,11 +106,9 @@ def vec(M: Array) -> Array:
     return np.asarray(M).reshape(-1, order="F")
 
 
-def unvec(v: Array, rows: int, cols: int | None = None) -> Array:
-    """Inverse of :func:`vec` for a rows x cols matrix."""
-    if cols is None:
-        cols = rows
-    return np.asarray(v).reshape((rows, cols), order="F")
+def unvec(v: Array, n: int) -> Array:
+    """Inverse of :func:`vec` for an n x n matrix."""
+    return np.asarray(v).reshape((n, n), order="F")
 
 
 def vec_permutation(n: int) -> Array:

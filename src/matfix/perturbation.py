@@ -59,12 +59,6 @@ class PerturbationSpec:
     def dq_norm(self) -> float:
         return linalg.spectral_norm(self.dQ)
 
-    def matches(self, instance: EquationInstance) -> bool:
-        n = instance.n
-        return len(self.dA) == instance.m and self.dQ.shape == (n, n) and all(
-            D.shape == (n, n) for D in self.dA
-        )
-
 
 @dataclass(frozen=True)
 class ConditionValue:

@@ -310,3 +310,122 @@ class TestTextGoldens:
         code, out, _ = run_cli(capsys, command, *(str(FIXTURES / f) for f in files))
         assert code == 0
         assert out.encode() == (GOLDENS / golden).read_bytes()
+
+
+class TestUsageErrors:
+    # argparse exits 2 on its own, the code documented for non-convergence
+    @pytest.mark.parametrize("argv", [["reproduce", "5"], ["reproduce", "1", "--format", "bogus"],
+                                      ["solve", "x.json", "--seed", "1"], []])
+    def test_usage_error_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "usage: matfix" in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run_cli(capsys, "reproduce", "--help")
+        assert code == 0
+        assert "--seed" in out
+
+
+def _expand(pattern: str) -> set[str]:
+    """Brace expansion: "a.{b,c.{d,e}}" -> {"a.b", "a.c.d", "a.c.e"}."""
+    start = pattern.find("{")
+    if start < 0:
+        return {pattern}
+    depth, parts, last = 0, [], start + 1
+    for end in range(start, len(pattern)):
+        depth += {"{": 1, "}": -1}.get(pattern[end], 0)
+        if depth == 1 and pattern[end] == ",":
+            parts.append(pattern[last:end])
+            last = end + 1
+        elif depth == 0:
+            break
+    parts.append(pattern[last:end])
+    return {p for part in parts for p in _expand(pattern[:start] + part + pattern[end + 1:])}
+
+
+def _leaf_paths(doc: dict, prefix: str = "") -> set[str]:
+    paths = set()
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            paths |= _leaf_paths(value, f"{prefix}{key}.")
+        else:
+            paths.add(prefix + key)
+    return paths
+
+
+_ENVELOPE = "{schema_version,command,argv,settings.{tol,max_iter,seed},wall_clock_s,exit_code}"
+_CONS = "{con1,con2,con3,con4,con5,con6}"
+_ANALYZE = (
+    "report.{solve.{converged,iterations,residual_norm},bounds.{alpha,beta},delta_norms.{dA,dQ},"
+    "feasibility.{con1,con2,con3,con4,con5,con6}.{value,passed},"
+    "backward.{Sigma,residual_norm,threshold,theta,bound,feasible},"
+    "condition.{mode,case,value,xi,rho,etas},first_order.{dX.re,frobenius_norm}}"
+)
+_XI12_FEASIBLE = (
+    "report.{xi1.{conditions.{b_positive,b_below_2beta_sq,discriminant}.{value,passed},"
+    "inputs.{beta,b,s,dq_norm,sum_da}},"
+    "xi2.{conditions.{coeff_norms_below_beta_sq,perturbed_norms_below_beta_sq}.{value,passed},"
+    "inputs.{beta,base_margin,pert_margin,norm_x}}}"
+)
+_XI3_FEASIBLE = (
+    "report.xi3.{conditions.{sigma_below_one,eps_below_threshold}.{value,passed},"
+    "inputs.{l,zeta,theta,sigma,eps,eps_threshold,norm_x}}"
+)
+
+
+class TestStructuredSchema:
+    # the key paths of every structured report, as recorded before the
+    # reproduce tables were driven from the published values
+    @pytest.mark.parametrize("argv, code, patterns", [
+        (["reproduce", "1"], 0, [
+            "report.{beta,alpha,iterations,residual_norm,converged,X.re,in_scalar_interval,example}",
+            "report.deviations.{beta,alpha,iterations,residual,X_max_abs}",
+        ]),
+        (["reproduce", "2"], 0, [
+            "report.{seed,example}",
+            "report.columns.{4,5,6,7}.{conditions_pass,true_rel_error_geomean,xi1,xi2,nu_star}",
+            "report.columns.{4,5,6,7}.conditions." + _CONS,
+            "report.columns.{4,5,6,7}.deviations."
+            "{con1,con2,con3,con4,con5,con6,true_rel_error,xi1,xi2,nu_star}",
+        ]),
+        (["reproduce", "3"], 0, [
+            "report.example",
+            "report.rows.{1,2,3,4}.{error,bound,feasible,dominates,deviations.{error,bound}}",
+        ]),
+        (["reproduce", "4"], 0, [
+            "report.example",
+            "report.rows.{1,3,5,7,9}.{c_rel,iterations,substituted_symmetrized_q,deviation}",
+        ]),
+        (["solve", "example1.json"], 0, [
+            "report.solve.{converged,iterations,residual_norm,rate,newton_steps,history,X.re}",
+            "report.bounds.{alpha,beta,membership.{coarse,refined,scalar},membership_slack}",
+        ]),
+        (["solve", "--allow-nonhermitian", "example4.json"], 0, [
+            "report.solve.{converged,iterations,residual_norm,rate,newton_steps,history,X.re}",
+            "report.solve.raw_residual_norm",
+        ]),
+        (["analyze", "example1.json", "delta_j7.json", "--case", "complex"], 0, [
+            _ANALYZE, "report.{xi1,xi2,xi3}.{feasible,relative_bound,absolute_bound}",
+            _XI12_FEASIBLE, _XI3_FEASIBLE,
+        ]),
+        (["analyze", "example1.json", "delta_j7.json", "--case", "real"], 0, [
+            _ANALYZE, "report.{xi1,xi2,xi3}.{feasible,relative_bound,absolute_bound}",
+            _XI12_FEASIBLE, _XI3_FEASIBLE,
+        ]),
+        (["analyze", "example3.json", "delta_j7.json"], 3, [
+            _ANALYZE,
+            "report.{xi1,xi2}.{feasible,condition}",
+            "report.xi1.values.{beta,b,s,dq_norm,sum_da,b_positive}",
+            "report.xi2.values.{beta,base_margin,pert_margin,coeff_norms_below_beta_sq}",
+            "report.xi3.{feasible,relative_bound,absolute_bound}", _XI3_FEASIBLE,
+        ]),
+    ])
+    def test_key_paths(self, capsys, monkeypatch, argv, code, patterns):
+        monkeypatch.delenv("MATFIX_SEED", raising=False)
+        argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
+        got_code, doc, _ = run_structured(capsys, *argv)
+        assert got_code == code
+        expected = set().union(*(_expand(p) for p in [_ENVELOPE, *patterns]))
+        assert _leaf_paths(doc) == expected
