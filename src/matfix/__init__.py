@@ -62,6 +62,7 @@ from .solver import (
     residual,
     scalar_solution,
     solve,
+    solve_many,
     validate,
 )
 
@@ -113,6 +114,7 @@ __all__ = [
     "scalar_interval",
     "scalar_solution",
     "solve",
+    "solve_many",
     "spectral_norm",
     "unvec",
     "validate",

@@ -35,23 +35,28 @@ def as_matrix(a, *, name: str = "matrix") -> Array:
     return M
 
 
-def spectral_norm(M: Array) -> float:
+def spectral_norm(M: Array):
     """Largest singular value of M, from the scaled Gram matrix of its shorter side.
 
+    A stack of shape (..., p, q) gives an array of shape (...): each matrix
+    is scaled and normed on its own, with the arithmetic of a lone call.
     Returns 0 for an empty or all-zero M; raises :class:`EigenSolverError`
     if M has non-finite entries.
     """
     M = np.asarray(M)
+    lead = M.shape[:-2]
     if M.size == 0:
-        return 0.0
-    scale = float(np.abs(M).max())
-    if not np.isfinite(scale):
-        raise EigenSolverError(f"spectral norm of a {M.shape} matrix with non-finite entries")
-    if scale == 0.0:
-        return 0.0
-    S = M / scale
-    G = S @ S.conj().T if S.shape[0] <= S.shape[1] else S.conj().T @ S
-    return float(np.sqrt(max(eig_extremes(G)[1], 0.0))) * scale
+        return np.zeros(lead) if lead else 0.0
+    scale = np.abs(M).max(axis=(-2, -1))
+    if not np.isfinite(scale).all():
+        raise EigenSolverError(
+            f"spectral norm of a {M.shape[-2:]} matrix with non-finite entries"
+        )
+    S = M / np.where(scale == 0.0, 1.0, scale)[..., None, None]  # a zero matrix norms to 0
+    St = S.conj().swapaxes(-1, -2)
+    G = S @ St if S.shape[-2] <= S.shape[-1] else St @ S
+    norms = np.sqrt(np.maximum(eig_extremes(G)[1], 0.0)) * scale
+    return norms if lead else float(norms)
 
 
 def frobenius_norm(M: Array) -> float:
@@ -59,21 +64,24 @@ def frobenius_norm(M: Array) -> float:
     return float(np.linalg.norm(np.asarray(M), "fro"))
 
 
-def eig_extremes(H: Array) -> tuple[float, float]:
+def eig_extremes(H: Array):
     """Smallest and largest eigenvalue of a Hermitian matrix.
 
-    Raises :class:`EigenSolverError` if the dense symmetric eigensolver does
-    not converge (rare; surfaced as a diagnostic rather than a crash).
+    A stack of shape (..., n, n) gives two arrays of shape (...).  Raises
+    :class:`EigenSolverError` if the dense symmetric eigensolver does not
+    converge (rare; surfaced as a diagnostic rather than a crash).
     """
     try:
         w = np.linalg.eigvalsh(np.asarray(H))
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigensolver failed: {exc}") from exc
+    if w.ndim > 1:
+        return w[..., 0], w[..., -1]
     return float(w[0]), float(w[-1])
 
 
-def is_positive_definite(H: Array, tol: float | None = None) -> bool:
-    """True iff lambda_min(H) > tol.
+def is_positive_definite(H: Array, tol: float | None = None):
+    """True iff lambda_min(H) > tol; for a stack (..., n, n), a bool array (...).
 
     ``tol`` defaults to n*eps*lambda_max(H) (floored at 0); both extremes
     come from one eigenvalue call.  This is the entry test for data (Q, x0,
@@ -82,11 +90,12 @@ def is_positive_definite(H: Array, tol: float | None = None) -> bool:
     """
     H = np.asarray(H)
     if H.size == 0:
-        return True
+        return np.ones(H.shape[:-2], dtype=bool) if H.ndim > 2 else True
     lam_min, lam_max = eig_extremes(H)
     if tol is None:
-        tol = H.shape[0] * _EPS * max(lam_max, 0.0)
-    return lam_min > tol
+        tol = H.shape[-1] * _EPS * np.maximum(lam_max, 0.0)
+    verdict = lam_min > tol
+    return verdict if H.ndim > 2 else bool(verdict)
 
 
 def apply_l(B, W: Array) -> Array:
@@ -143,19 +152,21 @@ def real_form(M: Array, n: int) -> Array:
 
 
 def hermitian_part(M: Array) -> Array:
-    """(M + M*)/2 with exact conjugate symmetry enforced structurally.
+    """(M + M*)/2 with exact conjugate symmetry, for a matrix or a stack (..., n, n).
 
-    The lower triangle of the average is mirrored into the upper one and the
-    diagonal imaginary part is zeroed, so the result is Hermitian by storage,
-    not merely up to rounding.
+    Entries (i, j) and (j, i) of the average come from the same two operands
+    by sign-symmetric IEEE operations, so they are exact conjugates and the
+    diagonal is exactly real: the result is Hermitian by storage, not merely
+    up to rounding.  Adding 0.0 turns negative zeros positive, so the result
+    equals the lower triangle mirrored into the upper one, bit for bit.
     """
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         raise ValueError("hermitian_part requires a square matrix")
-    H = (M + M.conj().T) / 2.0
-    low = np.tril(H, -1)
-    out = low + low.conj().T + np.diag(H.diagonal().real)
-    return out
+    H = M + M.conj().swapaxes(-1, -2)
+    H /= 2.0
+    H += 0.0
+    return H
 
 
 def is_exactly_hermitian(M: Array) -> bool:

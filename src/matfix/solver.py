@@ -20,11 +20,16 @@ matrix-free by :func:`linalg.apply_l` inside a restarted GMRES written in
 numpy.  Newton iterates pass the same Cholesky guard and must lower the
 residual; the monotone-Newton argument of Guo & Lancaster does not carry
 over to this minus equation, so Newton starts only inside its basin.
+
+:func:`solve_many` runs this one loop over a stack of instances that share
+n and m, each member's arithmetic that of a lone :func:`solve`; ``solve``
+is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,47 +147,106 @@ def validate(instance: EquationInstance) -> None:
     )
 
 
-def _initial_iterate(instance: EquationInstance, settings: SolveSettings) -> Array:
+def _validate_batch(instances: tuple[EquationInstance, ...], Q: Array) -> None:
+    """:func:`validate` every member of a batch whose Q are stacked in ``Q``.
+
+    A lone member is validated as such.  The members of a batch of several
+    share their shapes (checked by :func:`solve_many`), so member 0 speaks
+    for all of them on shapes, and the conjugate symmetry and positive
+    definiteness of every Q are tested on the stack, the latter by one
+    eigenvalue call.  The first failing member raises validate's error with
+    its index in front of the message.
+    """
+    if len(instances) == 1:
+        validate(instances[0])
+        return
+    ok = np.zeros(len(instances), dtype=bool)  # Q Hermitian and positive definite
+    if Q.shape[-2] == Q.shape[-1]:
+        ok = linalg.is_positive_definite(Q) & (Q == Q.conj().swapaxes(-1, -2)).all(axis=(-2, -1))
+    for i in (0, *np.flatnonzero(~ok)):
+        try:
+            validate(instances[i])
+        except ValidationError as exc:
+            raise type(exc)(f"instance {i}: {exc}", violations=exc.violations) from exc
+
+
+def _initial_iterates(Q: Array, settings: SolveSettings, hermitian: bool) -> Array:
+    """The starting matrix of every member of the stack Q: Q itself, c*I or x0.
+
+    In Hermitian mode the start is re-symmetrized and must be positive
+    definite; a start of Q passed that test in validation.
+    """
+    n = Q.shape[-1]
     if settings.x0 is None:
-        return instance.Q.copy()
-    if np.isscalar(settings.x0):
-        return complex(settings.x0).real * np.eye(instance.n, dtype=complex)
-    X0 = linalg.as_matrix(settings.x0, name="x0")
-    if X0.shape != (instance.n, instance.n):
-        raise DimensionMismatch(f"x0 has shape {X0.shape}, expected ({instance.n}, {instance.n})")
-    return X0
+        X0 = Q
+    elif np.isscalar(settings.x0):
+        X0 = complex(settings.x0).real * np.eye(n, dtype=complex)
+    else:
+        X0 = linalg.as_matrix(settings.x0, name="x0")
+        if X0.shape != (n, n):
+            raise DimensionMismatch(f"x0 has shape {X0.shape}, expected ({n}, {n})")
+    if hermitian:
+        X0 = linalg.hermitian_part(X0)
+        if settings.x0 is not None and not linalg.is_positive_definite(X0):
+            raise NotPositiveDefinite("starting matrix X0 must be positive definite")
+    return np.broadcast_to(X0, Q.shape)
 
 
-def _apply_map(instance: EquationInstance, X: Array) -> Array:
-    """F(X) = Q + sum(Ai* X^-1 Ai) for any nonsingular X (LU solves)."""
-    out = instance.Q.astype(complex).copy()
-    for Ai in instance.A:
-        out = out + Ai.conj().T @ np.linalg.solve(X, Ai)
+def _coefficients(instance: EquationInstance) -> Array:
+    """[A1 ... Am] as one n x mn array (n x 0 when m = 0)."""
+    return np.hstack([np.empty((instance.n, 0)), *instance.A])
+
+
+def _lu_map(Q: Array, Ah: Array, X: Array) -> Array:
+    """F(X) = Q + sum(Ai* X^-1 Ai) for any nonsingular X (LU solves).
+
+    Ah = [A1 ... Am]; every argument may be a stack (..., n, .) of members.
+    """
+    n = X.shape[-1]
+    out = Q.astype(complex)
+    for j in range(0, Ah.shape[-1], n):
+        Ai = Ah[..., j : j + n]
+        out = out + Ai.conj().swapaxes(-1, -2) @ np.linalg.solve(X, Ai)
     return out
 
 
-def _hermitian_map(instance: EquationInstance, X: Array) -> tuple[Array, Array, Array]:
+def _apply_map(instance: EquationInstance, X: Array) -> Array:
+    """F(X) of one instance for any nonsingular X (LU solves)."""
+    return _lu_map(instance.Q, _coefficients(instance), X)
+
+
+def _cholesky_map(Q: Array, Ah: Array, X: Array) -> tuple[Array, Array, Array]:
     """herm(F(X)) for Hermitian X from one Cholesky factor X = L L*.
 
-    With Gi = L^-1 Ai, solved for all i at once, the map is Q + sum(Gi* Gi);
-    stacking the Gi vertically turns the sum into one product.  Returns the
-    map together with L and G = [G1 ... Gm], which give Bi = X^-1 Ai = L^-* Gi
-    for a Newton step.  Raises ``np.linalg.LinAlgError`` when X is not
-    numerically positive definite.
+    With Gi = L^-1 Ai, solved for all i at once from Ah = [A1 ... Am], the
+    map is Q + sum(Gi* Gi); stacking the Gi vertically turns the sum into
+    one product.  Returns the map together with L and G = [G1 ... Gm], which
+    give Bi = X^-1 Ai = L^-* Gi for a Newton step.  Every argument may be a
+    stack (..., n, .) of members.  Raises ``np.linalg.LinAlgError`` when X
+    (some member of X) is not numerically positive definite.
     """
-    n, m = instance.n, instance.m
+    n = X.shape[-1]
     L = np.linalg.cholesky(X)
-    G = np.linalg.solve(L, np.hstack(instance.A))
-    Gs = G.reshape(n, m, n).transpose(1, 0, 2).reshape(m * n, n)
-    return linalg.hermitian_part(instance.Q + Gs.conj().T @ Gs), L, G
+    G = np.linalg.solve(L, Ah)
+    lead = G.shape[:-2]
+    Gs = G.reshape(*lead, n, -1, n).swapaxes(-3, -2).reshape(*lead, -1, n)
+    F = Gs.conj().swapaxes(-1, -2) @ Gs
+    F += Q
+    return linalg.hermitian_part(F), L, G
 
 
-def _hermitian_norm(H: Array) -> float:
-    """Spectral norm of an exactly Hermitian matrix from its eigenvalue extremes."""
-    if H.size == 0:
-        return 0.0
+def _hermitian_map(instance: EquationInstance, X: Array) -> tuple[Array, Array, Array]:
+    """herm(F(X)), L and G of :func:`_cholesky_map` for one instance."""
+    return _cholesky_map(instance.Q, _coefficients(instance), X)
+
+
+def _hermitian_norm(H: Array):
+    """Spectral norm of an exactly Hermitian matrix, or of each in a stack,
+    from its eigenvalue extremes."""
+    if H.shape[-1] == 0:
+        return np.zeros(H.shape[:-2]) if H.ndim > 2 else 0.0
     lam_min, lam_max = linalg.eig_extremes(H)
-    return max(-lam_min, lam_max)
+    return np.maximum(-lam_min, lam_max) if H.ndim > 2 else max(-lam_min, lam_max)
 
 
 _GMRES_RESTART = 20  # Krylov basis size: (r + 1) n^2 float64 entries
@@ -290,6 +354,66 @@ def _geometric_mean(L: Array, FX: Array) -> Array:
     return linalg.hermitian_part(S @ S.conj().T)
 
 
+@dataclass
+class _Member:
+    """Iteration state of one member of a :func:`solve_many` batch."""
+
+    index: int  # position in the batch
+    history: list[float] = field(default_factory=list)
+    res: float = 0.0
+    fp_run: int = 0  # fixed-point iterates since the last trial
+    newton_steps: int = 0
+    newton: bool = False  # in a Newton phase
+    newton_exit: float = math.inf  # residual when the last Newton phase ended
+    rate: float = 0.0  # two-step rate when the switch rule last fired
+
+    def switch(self, FX: Array) -> str | None:
+        """The switch rule: "newton", "restart" or None (a fixed-point step)."""
+        trial = "newton" if self.newton else None
+        h = self.history
+        if self.fp_run >= 5 and h[-1] > 0.25 * h[-3]:
+            self.rate = math.sqrt(h[-1] / h[-3])  # above 0.5
+            scale = float(FX.diagonal().real.max())  # a lower bound on ||F(X)||
+            if self.res < 0.1 * scale and self.res < 0.5 * self.newton_exit:
+                trial = "newton"
+            elif self.res >= scale:
+                trial = "restart"
+        return trial
+
+    def try_trial(
+        self, trial: str, Q: Array, Ah: Array, X: Array, FX: Array, L: Array, G: Array, tol: float
+    ) -> tuple[Array, Array, Array, Array] | None:
+        """Take a Newton or restart trial from X; return the accepted iterate
+        with its map (F, L, G), or None when it is rejected."""
+        res_y = math.inf
+        try:
+            if trial == "newton":
+                Y, solved = _newton_step(X, FX, L, G, self.res, self.rate, tol)
+            else:
+                Y = _geometric_mean(L, FX)
+            FY, LY, GY = _cholesky_map(Q, Ah, Y)
+            if np.isfinite(FY).all():
+                res_y = _hermitian_norm(FY - Y)
+                self.history.append(res_y)
+        except np.linalg.LinAlgError:
+            pass
+        if not res_y < self.res:  # rejected: the fixed-point step comes next
+            self.newton, self.fp_run = False, 0
+            self.newton_exit = self.res if trial == "newton" else self.newton_exit
+            return None
+        if trial == "newton":
+            self.newton_steps += 1
+            self.newton = solved
+            self.newton_exit = self.newton_exit if solved else res_y
+        self.res, self.fp_run = res_y, 0
+        return Y, FY, LY, GY
+
+    def record(self, res: float) -> None:
+        self.res = res
+        self.history.append(res)
+        self.fp_run += 1
+
+
 def solve(
     instance: EquationInstance,
     settings: SolveSettings | None = None,
@@ -297,6 +421,28 @@ def solve(
     allow_nonhermitian: bool = False,
 ) -> SolveReport:
     """Solve by the fixed-point iteration, finished by Newton steps when it is slow.
+
+    A batch of one: see :func:`solve_many` for the iteration, its Newton and
+    restart trials, raw mode and the errors raised.
+    """
+    return solve_many((instance,), settings, allow_nonhermitian=allow_nonhermitian)[0]
+
+
+def solve_many(
+    instances: Iterable[EquationInstance],
+    settings: SolveSettings | None = None,
+    *,
+    allow_nonhermitian: bool = False,
+) -> list[SolveReport]:
+    """Solve every instance of a batch that shares n and m, with shared settings.
+
+    Each member's report equals that of a lone :func:`solve` call, bit for
+    bit: the members' Q, [A1 ... Am] and iterates are held as (k, n, .)
+    stacks, and one call of each numpy kernel (Cholesky, triangular solves,
+    matmul, eigenvalues) serves every member still iterating, with the
+    arithmetic of a single matrix.  ``settings`` (x0 included) applies to
+    every member.  A member leaves the stacks once its own residual is below
+    ``tol`` or its iterations reach ``max_iter``.
 
     Each Hermitian iterate is factored once by Cholesky; the factor is the
     positive definiteness guard and serves all m solves of the map, and the
@@ -306,7 +452,8 @@ def solve(
 
     Once five fixed-point iterates in a row show slow contraction, a rate
     over the last two steps, sqrt(r_k / r_{k-2}), above 0.5, the guarded
-    path leaves plain iteration in one of two ways:
+    path leaves plain iteration in one of two ways (the rule is applied to
+    each member on its own history, and its trial is taken alone):
 
     * if r_k < 0.1 max(diag F(X_k)) (a lower bound on 0.1 ||F(X_k)||), it
       takes inexact Newton steps (:func:`_newton_step`) for as long as they
@@ -330,87 +477,98 @@ def solve(
     iteration (LU solves, singular-value residual norm) is applied to the
     matrices exactly as given.
 
-    Returns a report with ``converged=False`` (rather than raising) when the
+    Returns reports with ``converged=False`` (rather than raising) when the
     iteration cap is hit; raises :class:`SingularIterate` if a fixed-point
     iterate stops being positive definite, which for valid input signals
-    numerical breakdown rather than a property of the equation.
+    numerical breakdown rather than a property of the equation.  Members
+    whose shapes differ raise :class:`DimensionMismatch`.  In a batch of
+    several, an error names the index of the member that raised it.
     """
+    instances = tuple(instances)
     if settings is None:
         settings = SolveSettings()
-    if not allow_nonhermitian:
-        validate(instance)
-
-    X = _initial_iterate(instance, settings)
-    if allow_nonhermitian:
-        norm, breakdown = linalg.spectral_norm, "is singular"
-
-        def apply_map(instance, X):
-            return _apply_map(instance, X), None, None
+    if not instances:
+        return []
+    named = len(instances) > 1  # errors name the member
+    shapes = [(inst.Q.shape, [Ai.shape for Ai in inst.A]) for inst in instances]
+    for i, shape in enumerate(shapes):
+        if shape != shapes[0]:
+            raise DimensionMismatch(f"instance {i}: shapes {shape} unlike instance 0's {shapes[0]}")
+    hermitian = not allow_nonhermitian
+    Q = np.stack([inst.Q for inst in instances])
+    if hermitian:
+        _validate_batch(instances, Q)
+        apply_map, norm, breakdown = _cholesky_map, _hermitian_norm, "lost positive definiteness"
     else:
-        X = linalg.hermitian_part(X)
-        if not linalg.is_positive_definite(X):
-            raise NotPositiveDefinite("starting matrix X0 must be positive definite")
-        apply_map, norm = _hermitian_map, _hermitian_norm
-        breakdown = "lost positive definiteness"
+        apply_map, norm, breakdown = _lu_map, linalg.spectral_norm, "is singular"
+    Ah = np.stack([_coefficients(inst) for inst in instances])
+    X = _initial_iterates(Q, settings, hermitian)
 
-    def step(X: Array, k: int) -> tuple[Array, Array, Array]:
+    def singular(member: _Member, start: bool) -> SingularIterate:
+        what = "starting matrix" if start else f"iterate {len(member.history) + 1}"
+        return SingularIterate(
+            f"{f'instance {member.index}: ' if named else ''}{what} {breakdown}"
+        )
+
+    def step(Q: Array, Ah: Array, X: Array, members: list[_Member], start: bool = False):
+        """F(X), L and G of every member of the stacks (L, G None in raw mode)."""
         try:
-            return apply_map(instance, X)
+            out = apply_map(Q, Ah, X)
         except np.linalg.LinAlgError as exc:
-            what = "starting matrix" if k == 0 else f"iterate {k}"
-            raise SingularIterate(f"{what} {breakdown}") from exc
+            failure, culprit = exc, members[0]
+            for j, member in enumerate(members if len(members) > 1 else ()):
+                try:  # one member at a time, to name the one that broke down
+                    apply_map(Q[j], Ah[j], X[j])
+                except np.linalg.LinAlgError as exc_j:
+                    failure, culprit = exc_j, member
+                    break
+            raise singular(culprit, start) from failure
+        return out if hermitian else (out, None, None)
 
-    FX, L, G = step(X, 0)
-    history: list[float] = []
-    res, fp_run, newton_steps = 0.0, 0, 0
-    newton, newton_exit = False, math.inf  # in a Newton phase; residual when the last one ended
-    while len(history) < settings.max_iter:
-        trial = "newton" if newton else None
-        if fp_run >= 5 and history[-1] > 0.25 * history[-3] and not allow_nonhermitian:
-            rate = math.sqrt(history[-1] / history[-3])  # above 0.5
-            scale = float(FX.diagonal().real.max())  # a lower bound on ||F(X)||
-            if res < 0.1 * scale and res < 0.5 * newton_exit:
-                trial = "newton"
-            elif res >= scale:
-                trial = "restart"
-        if trial is None:
-            X = FX
-            FX, L, G = step(X, len(history) + 1)
+    members = [_Member(i) for i in range(len(instances))]
+    reports: list[SolveReport] = [None] * len(instances)
+    FX, L, G = step(Q, Ah, X, members, start=True)
+    while members:
+        trials = [member.switch(FX[j]) if hermitian else None for j, member in enumerate(members)]
+        fixed = [j for j, trial in enumerate(trials) if trial is None]
+        if len(fixed) == len(members):  # the whole stack steps: no copies
+            X, FX, L, G = FX, None, None, None  # the old L and G go before the new are made
+            FX, L, G = step(Q, Ah, X, members)
             res = norm(FX - X)
-            history.append(res)
-            fp_run += 1
-        else:
-            res_y = math.inf
-            try:
-                if trial == "newton":
-                    Y, solved = _newton_step(X, FX, L, G, res, rate, settings.tol)
-                else:
-                    Y = _geometric_mean(L, FX)
-                FY, LY, GY = _hermitian_map(instance, Y)
-                if np.isfinite(FY).all():
-                    res_y = norm(FY - Y)
-                    history.append(res_y)
-            except np.linalg.LinAlgError:
-                pass
-            if not res_y < res:  # rejected: the fixed-point step comes next
-                newton, fp_run = False, 0
-                newton_exit = res if trial == "newton" else newton_exit
-                continue
-            if trial == "newton":
-                newton_steps += 1
-                newton = solved
-                newton_exit = newton_exit if solved else res_y
-            X, FX, L, G, res, fp_run = Y, FY, LY, GY, res_y, 0
-        if res < settings.tol:
-            break
-    return SolveReport(
-        X=X,
-        iterations=len(history),
-        residual_norm=res,
-        converged=res < settings.tol,
-        history=tuple(history),
-        newton_steps=newton_steps,
-    )
+        elif fixed:
+            X[fixed] = FX[fixed]
+            FXf, LF, GF = step(Q[fixed], Ah[fixed], X[fixed], [members[j] for j in fixed])
+            res = norm(FXf - X[fixed])
+            FX[fixed], L[fixed], G[fixed] = FXf, LF, GF
+        for j, r in zip(fixed, res.tolist() if fixed else ()):
+            members[j].record(r)
+        for j, trial in enumerate(trials):
+            if trial is not None:
+                accepted = members[j].try_trial(
+                    trial, Q[j], Ah[j], X[j], FX[j], L[j], G[j], settings.tol
+                )
+                if accepted is not None:
+                    X[j], FX[j], L[j], G[j] = accepted
+        done = {j for j, member in enumerate(members)
+                if member.res < settings.tol or len(member.history) >= settings.max_iter}
+        if done:
+            for j in done:
+                member = members[j]
+                reports[member.index] = SolveReport(
+                    X=X[j].copy(),
+                    iterations=len(member.history),
+                    residual_norm=member.res,
+                    converged=member.res < settings.tol,
+                    history=tuple(member.history),
+                    newton_steps=member.newton_steps,
+                )
+            keep = [j for j in range(len(members)) if j not in done]
+            members = [members[j] for j in keep]
+            if members:  # compact the stacks
+                Q, Ah, X, FX = Q[keep], Ah[keep], X[keep], FX[keep]
+                if hermitian:
+                    L, G = L[keep], G[keep]
+    return reports
 
 
 def residual(instance: EquationInstance, X: Array) -> tuple[Array, float]:

@@ -54,6 +54,32 @@ class TestInverseReuse:
         assert seen == [np.float64, np.float64]  # X^-1, then (I + sum kron(C_i, C_i))^-1
 
 
+    def test_cond_real_reuses_a_real_bundle(self, rng, monkeypatch):
+        # at an exactly symmetric X the float64 bundle holds the real case's
+        # B and L^-1; the value moves by rounding only
+        inst = real_instance(rng, n=3, m=2)
+        X = solve_tight(inst).real
+        bundle = build_bundle(inst, X)
+        own = cond_real(inst, X, "relative").value
+
+        def refuse(M):
+            raise AssertionError("cond_real inverted a matrix")
+
+        monkeypatch.setattr("matfix.linalg.inverse", refuse)
+        reused = cond_real(inst, X, "relative", bundle=bundle).value
+        assert reused == pytest.approx(own, rel=2e-15)
+
+    def test_cond_real_builds_its_own_at_a_nonsymmetric_x(self):
+        # a raw-mode solution of benchmark 4 is not symmetric, so the bundle
+        # (whose B_i are X^-1 A_i, not C_i^T) is not used
+        inst = benchmark_instance(4, 2)
+        X = solve(inst, SolveSettings(tol=1e-12), allow_nonhermitian=True).X.real
+        assert not np.array_equal(X, X.T)
+        bundle = build_bundle(inst, X)
+        assert bundle.L_inv.dtype == np.float64
+        assert cond_real(inst, X, "relative", bundle=bundle) == cond_real(inst, X, "relative")
+
+
 def real_instance(rng, n=3, m=2, coeff_scale=0.5):
     return make_random_instance(rng, n=n, m=m, coeff_scale=coeff_scale, complex_data=False)
 
@@ -260,6 +286,13 @@ class TestBlockRowAssembly:
 
 
 class TestFdOracle:
+    def test_benchmark2_value_pinned(self):
+        # the batched perturbed solves reproduce the one-at-a-time estimate
+        # bit for bit
+        inst = benchmark_instance(2)
+        X = solve(inst, SolveSettings(tol=1e-13, max_iter=2000)).X
+        assert cond_fd_oracle(inst, X, trials=100) == 0.9176541224611775
+
     def test_zero_coefficients_exact(self):
         # with A = 0 the data-to-solution map is the identity on Q
         Q = np.diag([2.0, 3.0])

@@ -244,6 +244,47 @@ class TestHermitianPart:
             hermitian_part(np.zeros((2, 3)))
 
 
+def bits(M):
+    """The IEEE bit patterns of a complex array, negative zeros included."""
+    return np.ascontiguousarray(M, dtype=complex).view(np.uint64)
+
+
+def mirrored_hermitian_part(M):
+    """Reference: the lower triangle of (M + M*)/2 mirrored into the upper one."""
+    H = (M + M.conj().T) / 2.0
+    low = np.tril(H, -1)
+    return low + low.conj().T + np.diag(H.diagonal().real)
+
+
+class TestStacks:
+    @pytest.mark.parametrize("shape", [(4, 5, 5), (2, 3, 4, 4), (3, 1, 1), (3, 3, 6), (3, 6, 3)])
+    def test_stack_equals_each_matrix(self, rng, shape):
+        M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        M.reshape(-1, *shape[-2:])[1] = 0.0  # an all-zero member
+        flat = M.reshape(-1, *shape[-2:])
+        norms = spectral_norm(M)
+        assert norms.shape == shape[:-2]
+        assert list(norms.ravel()) == [spectral_norm(S) for S in flat]
+        if shape[-1] == shape[-2]:
+            H = hermitian_part(M).reshape(flat.shape)
+            assert all(np.array_equal(bits(h), bits(hermitian_part(S))) for h, S in zip(H, flat))
+            lo, hi = eig_extremes(H)
+            assert list(zip(lo, hi)) == [eig_extremes(h) for h in H]
+            assert list(is_positive_definite(H)) == [is_positive_definite(h) for h in H]
+
+    def test_hermitian_part_equals_mirrored_lower_triangle(self, rng):
+        # negative zeros and overflow included: the result is bit for bit
+        # the mirrored lower triangle
+        values = np.array([0.0, -0.0, 1.0, -2.5, 1e300, -3e-300, 5e-324])
+        for _ in range(500):
+            n = int(rng.integers(1, 5))
+            M = rng.choice(values, (n, n)) + 1j * rng.choice(values, (n, n))
+            assert np.array_equal(bits(hermitian_part(M)), bits(mirrored_hermitian_part(M)))
+
+    def test_empty_stack(self):
+        assert spectral_norm(np.zeros((3, 0, 2))).tolist() == [0.0, 0.0, 0.0]
+
+
 class TestInverse:
     def test_identity(self):
         assert np.allclose(inverse(np.eye(4)), np.eye(4))

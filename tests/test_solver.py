@@ -16,6 +16,7 @@ from matfix import (
     residual,
     scalar_solution,
     solve,
+    solve_many,
     spectral_norm,
     validate,
 )
@@ -486,3 +487,96 @@ class TestHybridSolver:
         assert not rep.converged and rep.iterations == 300
         assert rep.residual_norm < 1e-10
         assert rep.newton_steps <= 10
+
+
+def assert_same_report(got, lone):
+    assert np.array_equal(got.X, lone.X)
+    assert got.iterations == lone.iterations
+    assert got.history == lone.history
+    assert got.residual_norm == lone.residual_norm
+    assert got.converged == lone.converged
+    assert got.newton_steps == lone.newton_steps
+
+
+class TestSolveMany:
+    @pytest.mark.parametrize(
+        "settings",
+        [SolveSettings(), SolveSettings(tol=1e-13, max_iter=2000), SolveSettings(x0=2.0, max_iter=40)],
+    )
+    def test_mixed_batch_equals_lone_solves(self, settings):
+        # benchmark 1, a mild instance and one that takes Newton steps: the
+        # members leave the stacks at different iterations
+        batch = [benchmark_instance(1), gaussian_instance(1, 5, 2, 0.3),
+                 gaussian_instance(2, 5, 2, 30.0)]
+        reports = solve_many(batch, settings)
+        lone = [solve(inst, settings) for inst in batch]
+        assert lone[2].newton_steps > 0
+        assert len({rep.iterations for rep in lone}) == 3
+        for got, ref in zip(reports, lone):
+            assert_same_report(got, ref)
+
+    def test_restart_member_equals_lone_solve(self):
+        # the nearly singular Q takes the X # F(X) restart while its
+        # batch-mate takes only fixed-point steps
+        batch = [gaussian_instance(3, 5, 1, 0.3),
+                 EquationInstance(A=[0.1 * np.eye(5)], Q=np.diag([1e-12, 1, 1, 1, 1]))]
+        settings = SolveSettings(max_iter=200)
+        reports = solve_many(batch, settings)
+        assert reports[1].converged and reports[1].newton_steps > 0
+        for got, inst in zip(reports, batch):
+            assert_same_report(got, solve(inst, settings))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_raw_batch_equals_lone_solves(self, k):
+        batch = [benchmark_instance(4, j) for j in range(1, k + 1)]
+        reports = solve_many(batch, SolveSettings(), allow_nonhermitian=True)
+        for got, inst in zip(reports, batch):
+            assert_same_report(got, solve(inst, SolveSettings(), allow_nonhermitian=True))
+
+    def test_empty_batch(self):
+        assert solve_many([]) == []
+
+    @pytest.mark.parametrize("allow_nonhermitian", [False, True])
+    def test_mixed_shapes_rejected(self, allow_nonhermitian):
+        batch = [benchmark_instance(1), EquationInstance(A=[np.eye(4)] * 2, Q=np.eye(4))]
+        with pytest.raises(DimensionMismatch, match="instance 1"):
+            solve_many(batch, allow_nonhermitian=allow_nonhermitian)
+        batch[1] = EquationInstance(A=[np.eye(5)], Q=np.eye(5))  # m = 1 against m = 2
+        with pytest.raises(DimensionMismatch, match="instance 1"):
+            solve_many(batch, allow_nonhermitian=allow_nonhermitian)
+
+    def test_invalid_member_named(self):
+        good = benchmark_instance(1)
+        Q = np.eye(5)
+        Q[0, 1] = 0.5
+        cases = [
+            (EquationInstance(A=good.A, Q=-np.eye(5)), NotPositiveDefinite,
+             "instance 1: Q is not positive definite"),
+            (EquationInstance(A=good.A, Q=Q), NotHermitian, "instance 1: Q is not Hermitian"),
+        ]
+        for bad, error, message in cases:
+            with pytest.raises(error) as exc:
+                solve_many([good, bad, good])
+            assert str(exc.value) == message
+            with pytest.raises(error) as exc:  # a batch of one reads as validate
+                solve_many([bad])
+            assert str(exc.value) == message.removeprefix("instance 1: ")
+
+    def test_factor_failure_names_the_member(self, monkeypatch):
+        # the second iterate of member 1 (Q = 100 I) fails to factor: the
+        # stacked call fails, and factoring one member at a time names it
+        cholesky = np.linalg.cholesky
+        calls = []
+
+        def failing_cholesky(X):
+            calls.append(None)
+            if len(calls) >= 3 and (np.asarray(X)[..., 0, 0].real > 50).any():
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(X)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+        A = benchmark_instance(1).A
+        batch = [EquationInstance(A=A, Q=np.eye(5)), EquationInstance(A=A, Q=100 * np.eye(5))]
+        with pytest.raises(SingularIterate, match="^instance 1: iterate 2 lost positive definiteness$"):
+            solve_many(batch)
+        assert len(calls) == 5  # start, iterate 1, iterate 2 stacked, then each member alone
