@@ -63,6 +63,7 @@ from .solver import (
     scalar_solution,
     solve,
     solve_many,
+    solve_stack,
     validate,
 )
 
@@ -115,6 +116,7 @@ __all__ = [
     "scalar_solution",
     "solve",
     "solve_many",
+    "solve_stack",
     "spectral_norm",
     "unvec",
     "validate",

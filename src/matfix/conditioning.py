@@ -23,7 +23,7 @@ Absolute mode uses unit weights; relative mode uses Frobenius norms of the
 data (eta_i = ||A_i||_F, rho = ||Q||_F, xi = ||X||_F).
 
 ``cond_fd_oracle`` is an independent Monte-Carlo lower estimate obtained
-from actual perturbed solves, all of them one :func:`solve_many` batch; it
+from actual perturbed solves, all of them one :func:`solve_stack` batch; it
 never consults the block formulas.
 """
 
@@ -36,7 +36,7 @@ import numpy as np
 from . import linalg
 from .errors import NotReal
 from .operators import OperatorBundle, _structured_products, l_representation, require_dense_budget
-from .solver import EquationInstance, SolveSettings, solve_many
+from .solver import EquationInstance, SolveSettings, solve_stack
 
 Array = np.ndarray
 
@@ -148,39 +148,32 @@ def _is_real_instance(instance: EquationInstance) -> bool:
     )
 
 
-def _random_direction(
-    rng: np.random.Generator, instance: EquationInstance, kind: int, real_case: bool
-) -> tuple[list[Array], Array]:
-    """Directions cycle through: full random, pure dQ, pure single dA_i.
+def _random_directions(
+    instance: EquationInstance, trials: int, seed: int, real_case: bool
+) -> tuple[Array, Array]:
+    """Directions dA (trials, m, n, n) and Hermitian dQ (trials, n, n) of every trial.
 
-    Pure-block directions matter: for near-degenerate maxima (all A_i = 0,
-    say) a uniformly random direction wastes most of its weight on blocks the
+    Trial t draws from the generator seeded by (seed, t), and the trials
+    cycle through: full random, pure dQ, pure single dA_i.  Pure-block
+    directions matter: for near-degenerate maxima (all A_i = 0, say) a
+    uniformly random direction wastes most of its weight on blocks the
     solution does not react to, and the Monte-Carlo maximum would stall far
     below the condition number.
     """
     n, m = instance.n, instance.m
-
-    def rmat() -> Array:
-        G = rng.standard_normal((n, n))
-        if not real_case:
-            G = G + 1j * rng.standard_normal((n, n))
-        return G
-
-    dA = [np.zeros((n, n), dtype=float if real_case else complex) for _ in range(m)]
-    H = np.zeros((n, n), dtype=float if real_case else complex)
-    if kind == 0:
-        for i in range(m):
-            dA[i] = rmat()
-        H = rmat()
-    elif kind == 1:
-        H = rmat()
-    else:
-        dA[(kind - 2) % m] = rmat()
+    dtype = float if real_case else complex
+    dA = np.zeros((trials, m, n, n), dtype=dtype)
+    H = np.zeros((trials, n, n), dtype=dtype)
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t))
+        kind = t % (m + 2)
+        blocks = [*dA[t], H[t]] if kind == 0 else [H[t]] if kind == 1 else [dA[t, (kind - 2) % m]]
+        for block in blocks:
+            G = rng.standard_normal((n, n))
+            block[...] = G if real_case else G + 1j * rng.standard_normal((n, n))
     if real_case:
-        H = (H + H.T) / 2.0
-    else:
-        H = linalg.hermitian_part(H)
-    return dA, H
+        return dA, (H + H.swapaxes(-1, -2)) / 2.0
+    return dA, linalg.hermitian_part(H)
 
 
 def cond_fd_oracle(
@@ -211,28 +204,19 @@ def cond_fd_oracle(
     settings = SolveSettings(x0=X if allow_nonhermitian else linalg.hermitian_part(X),
                              tol=solve_tol, max_iter=5000)
 
-    perturbed, deltas = [], []
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        dA, H = _random_direction(rng, instance, t % (instance.m + 2), real_case)
-        w = np.sqrt(
-            sum(linalg.frobenius_norm(dA[i]) ** 2 / etas[i] ** 2 for i in range(instance.m))
-            + linalg.frobenius_norm(H) ** 2 / rho ** 2
-        )
-        if w == 0.0:
-            continue
-        for delta in (step, step / 2.0):
-            scale = delta / w
-            perturbed.append(EquationInstance(
-                A=[instance.A[i] + scale * dA[i] for i in range(instance.m)],
-                Q=instance.Q + scale * H,
-            ))
-            deltas.append(delta)
-
-    reports = solve_many(perturbed, settings, allow_nonhermitian=allow_nonhermitian)
-    quotients = [linalg.frobenius_norm(rep.X - X) / (xi * delta)
-                 for rep, delta in zip(reports, deltas)]
-    best = 0.0
-    for e1, e2 in zip(quotients[::2], quotients[1::2]):
-        best = max(best, 2.0 * e2 - e1)
-    return best
+    dA, H = _random_directions(instance, trials, seed, real_case)
+    w = 0  # the weighted norm of each direction, summed block by block
+    for i in range(instance.m):
+        w = w + linalg.frobenius_norm(dA[:, i]) ** 2 / etas[i] ** 2
+    w = np.sqrt(w + linalg.frobenius_norm(H) ** 2 / rho ** 2)
+    nonzero = w != 0.0
+    deltas = np.array([step, step / 2.0])
+    scale = deltas / w[nonzero, None]  # (trials, 2): unit direction times delta
+    A = np.asarray(instance.A) + scale[..., None, None, None] * dA[nonzero, None]
+    Q = instance.Q + scale[..., None, None] * H[nonzero, None]
+    n, m = instance.n, instance.m  # trial t's two members are rows 2t and 2t + 1
+    reports = solve_stack(Q.reshape(-1, n, n), A.reshape(-1, m, n, n), settings,
+                          allow_nonhermitian=allow_nonhermitian)
+    Xs = np.array([rep.X for rep in reports]).reshape(-1, n, n)
+    quotients = linalg.frobenius_norm(Xs - X).reshape(-1, 2) / (xi * deltas)
+    return float(np.max(2.0 * quotients[:, 1] - quotients[:, 0], initial=0.0))

@@ -56,7 +56,8 @@ class SingularOperator(MatfixError):
 
 
 class OperatorTooLarge(MatfixError):
-    """The dense n^2 x n^2 operator matrices would exceed the memory budget."""
+    """The arrays a call would hold exceed its memory budget: the dense
+    n^2 x n^2 operator matrices, or the stacks of a batch of solves."""
 
 
 class ConditionViolated(MatfixError):

@@ -82,6 +82,14 @@ def benchmark2_delta_norms(j: int) -> tuple[float, float]:
     return 10.0 ** (-j), 3.0 * 10.0 ** (-j - 1)
 
 
+def benchmark2_random_directions(rng: np.random.Generator, count: int) -> Array:
+    """``count`` directions C^T + C of unit spectral norm for benchmark 2, shape
+    (count, 5, 5): the Gaussian C that ``count`` single draws from ``rng`` make."""
+    C = rng.standard_normal((count, 5, 5))
+    S = C.swapaxes(-1, -2) + C
+    return S / linalg.spectral_norm(S)[:, None, None]
+
+
 def benchmark2_random_deltas(j: int, rng: np.random.Generator) -> PerturbationSpec:
     """One random perturbation draw for benchmark 2.
 
@@ -89,9 +97,7 @@ def benchmark2_random_deltas(j: int, rng: np.random.Generator) -> PerturbationSp
     norms are exactly 10^-j and 3*10^-(j+1); every draw therefore produces
     identical norm-driven bounds, only the true error varies.
     """
-    C = rng.standard_normal((5, 5))
-    S = C.T + C
-    S = S / linalg.spectral_norm(S)
+    S = benchmark2_random_directions(rng, 1)[0]
     d1, d2 = benchmark2_delta_norms(j)
     return PerturbationSpec(dA=[d1 * S, d2 * S], dQ=np.zeros((5, 5)))
 

@@ -16,6 +16,8 @@ Conventions fixed project-wide:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import EigenSolverError, SingularMatrix
@@ -59,9 +61,15 @@ def spectral_norm(M: Array):
     return norms if lead else float(norms)
 
 
-def frobenius_norm(M: Array) -> float:
-    """Square root of the sum of squared entry moduli."""
-    return float(np.linalg.norm(np.asarray(M), "fro"))
+def frobenius_norm(M: Array):
+    """Square root of the sum of squared entry moduli; a stack (..., p, q) gives
+    an array (...).  The sum is a dot product of the real and of the imaginary
+    parts, as ``np.linalg.norm`` forms it, so each norm is a lone call's."""
+    M = np.asarray(M)
+    v = M.reshape(*M.shape[:-2], 1, math.prod(M.shape[-2:]))
+    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+    sq = sum((u @ u.swapaxes(-1, -2))[..., 0, 0] for u in parts)
+    return np.sqrt(sq) if M.ndim > 2 else float(np.sqrt(sq))
 
 
 def eig_extremes(H: Array):

@@ -32,32 +32,27 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Perturbations dA_1..dA_m and Hermitian dQ, with their spectral norms."""
+    """Perturbations dA_1..dA_m and Hermitian dQ, with their spectral norms
+    (computed once, at construction)."""
 
     dA: tuple[Array, ...]
     dQ: Array
+    da_norms: tuple[float, ...] = field(init=False)
+    dq_norm: float = field(init=False)
 
     def __init__(self, dA, dQ):
-        object.__setattr__(
-            self,
-            "dA",
-            tuple(linalg.as_matrix(D, name=f"dA[{i}]") for i, D in enumerate(dA)),
-        )
-        object.__setattr__(self, "dQ", linalg.as_matrix(dQ, name="dQ"))
+        dA = tuple(linalg.as_matrix(D, name=f"dA[{i}]") for i, D in enumerate(dA))
+        dQ = linalg.as_matrix(dQ, name="dQ")
+        object.__setattr__(self, "dA", dA)
+        object.__setattr__(self, "dQ", dQ)
+        object.__setattr__(self, "da_norms", tuple(linalg.spectral_norm(D) for D in dA))
+        object.__setattr__(self, "dq_norm", linalg.spectral_norm(dQ))
 
     @classmethod
     def zero(cls, instance: EquationInstance) -> "PerturbationSpec":
         n = instance.n
         z = np.zeros((n, n))
         return cls(dA=tuple(z.copy() for _ in range(instance.m)), dQ=z.copy())
-
-    @property
-    def da_norms(self) -> tuple[float, ...]:
-        return tuple(linalg.spectral_norm(D) for D in self.dA)
-
-    @property
-    def dq_norm(self) -> float:
-        return linalg.spectral_norm(self.dQ)
 
 
 @dataclass(frozen=True)

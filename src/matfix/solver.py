@@ -21,9 +21,9 @@ numpy.  Newton iterates pass the same Cholesky guard and must lower the
 residual; the monotone-Newton argument of Guo & Lancaster does not carry
 over to this minus equation, so Newton starts only inside its basin.
 
-:func:`solve_many` runs this one loop over a stack of instances that share
-n and m, each member's arithmetic that of a lone :func:`solve`; ``solve``
-is a batch of one.
+:func:`solve_stack` runs this one loop over stacked equations that share n
+and m, each member's arithmetic that of a lone :func:`solve`; ``solve`` and
+:func:`solve_many` stack their instances for it.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .errors import (
     DimensionMismatch,
     NotHermitian,
     NotPositiveDefinite,
+    OperatorTooLarge,
     SingularIterate,
     ValidationError,
 )
@@ -147,27 +148,36 @@ def validate(instance: EquationInstance) -> None:
     )
 
 
-def _validate_batch(instances: tuple[EquationInstance, ...], Q: Array) -> None:
-    """:func:`validate` every member of a batch whose Q are stacked in ``Q``.
+def _validate_stack(Q: Array, A: Array, hermitian: bool) -> None:
+    """Check the stacks Q (k, n, n) and A (k, m, n, n) as the coercion to an
+    :class:`EquationInstance` and (Hermitian mode) :func:`validate` would.
 
-    A lone member is validated as such.  The members of a batch of several
-    share their shapes (checked by :func:`solve_many`), so member 0 speaks
-    for all of them on shapes, and the conjugate symmetry and positive
-    definiteness of every Q are tested on the stack, the latter by one
-    eigenvalue call.  The first failing member raises validate's error with
-    its index in front of the message.
+    Each test runs once on the whole stack: finite entries, the shapes, then
+    conjugate symmetry and positive definiteness of every Q.  Only the first
+    failing member is built as an instance and checked alone; in a stack of
+    several its error names it.
     """
-    if len(instances) == 1:
-        validate(instances[0])
+    if not (np.isfinite(Q).all() and np.isfinite(A).all()):
+        ok = np.isfinite(Q).all(axis=(1, 2)) & np.isfinite(A).all(axis=(1, 2, 3))
+    elif not hermitian:
         return
-    ok = np.zeros(len(instances), dtype=bool)  # Q Hermitian and positive definite
-    if Q.shape[-2] == Q.shape[-1]:
-        ok = linalg.is_positive_definite(Q) & (Q == Q.conj().swapaxes(-1, -2)).all(axis=(-2, -1))
-    for i in (0, *np.flatnonzero(~ok)):
+    elif Q.shape[2] != Q.shape[1] or A.shape[1] < 1 or A.shape[2:] != Q.shape[1:]:
+        ok = np.zeros(len(Q), dtype=bool)  # the members share their shapes
+    else:
+        symmetric, ok = Q == Q.conj().swapaxes(1, 2), linalg.is_positive_definite(Q)
+        if ok.all() and symmetric.all():
+            return
+        ok &= symmetric.all(axis=(1, 2))
+    for j in np.flatnonzero(~ok)[:1]:
         try:
-            validate(instances[i])
-        except ValidationError as exc:
-            raise type(exc)(f"instance {i}: {exc}", violations=exc.violations) from exc
+            instance = EquationInstance(A[j], Q[j])
+            if hermitian:
+                validate(instance)
+        except (ValueError, ValidationError) as exc:
+            if len(Q) == 1:
+                raise
+            extra = {"violations": exc.violations} if isinstance(exc, ValidationError) else {}
+            raise type(exc)(f"instance {j}: {exc}", **extra) from exc
 
 
 def _initial_iterates(Q: Array, settings: SolveSettings, hermitian: bool) -> Array:
@@ -356,62 +366,48 @@ def _geometric_mean(L: Array, FX: Array) -> Array:
 
 @dataclass
 class _Member:
-    """Iteration state of one member of a :func:`solve_many` batch."""
+    """Newton and restart state of a :func:`solve_stack` member whose switch
+    rule has fired; its residuals and counters live in the loop's arrays."""
 
-    index: int  # position in the batch
-    history: list[float] = field(default_factory=list)
-    res: float = 0.0
-    fp_run: int = 0  # fixed-point iterates since the last trial
     newton_steps: int = 0
-    newton: bool = False  # in a Newton phase
     newton_exit: float = math.inf  # residual when the last Newton phase ended
     rate: float = 0.0  # two-step rate when the switch rule last fired
 
-    def switch(self, FX: Array) -> str | None:
-        """The switch rule: "newton", "restart" or None (a fixed-point step)."""
-        trial = "newton" if self.newton else None
-        h = self.history
-        if self.fp_run >= 5 and h[-1] > 0.25 * h[-3]:
-            self.rate = math.sqrt(h[-1] / h[-3])  # above 0.5
-            scale = float(FX.diagonal().real.max())  # a lower bound on ||F(X)||
-            if self.res < 0.1 * scale and self.res < 0.5 * self.newton_exit:
-                trial = "newton"
-            elif self.res >= scale:
-                trial = "restart"
-        return trial
+    def switch(self, res: float, res_3: float, FX: Array) -> str | None:
+        """The switch rule after five fixed-point iterates in a row whose last
+        contracts slowly, res > res_3 / 4 for res_3 the residual two iterates
+        back: "newton", "restart" or None (a fixed-point step)."""
+        self.rate = math.sqrt(res / res_3)  # above 0.5
+        scale = float(FX.diagonal().real.max())  # a lower bound on ||F(X)||
+        if res < 0.1 * scale and res < 0.5 * self.newton_exit:
+            return "newton"
+        return "restart" if res >= scale else None
 
-    def try_trial(
-        self, trial: str, Q: Array, Ah: Array, X: Array, FX: Array, L: Array, G: Array, tol: float
-    ) -> tuple[Array, Array, Array, Array] | None:
-        """Take a Newton or restart trial from X; return the accepted iterate
-        with its map (F, L, G), or None when it is rejected."""
-        res_y = math.inf
+    def try_trial(self, trial: str, res: float, Q, Ah, X, FX, L, G, tol: float):
+        """Take a Newton or restart trial from X at residual ``res``; return the
+        trial iterate's residual (None if none was evaluated), the accepted
+        iterate with its map (F, L, G) or None, and whether Newton goes on."""
+        res_y = None
         try:
             if trial == "newton":
-                Y, solved = _newton_step(X, FX, L, G, self.res, self.rate, tol)
+                Y, solved = _newton_step(X, FX, L, G, res, self.rate, tol)
             else:
                 Y = _geometric_mean(L, FX)
             FY, LY, GY = _cholesky_map(Q, Ah, Y)
             if np.isfinite(FY).all():
                 res_y = _hermitian_norm(FY - Y)
-                self.history.append(res_y)
         except np.linalg.LinAlgError:
             pass
-        if not res_y < self.res:  # rejected: the fixed-point step comes next
-            self.newton, self.fp_run = False, 0
-            self.newton_exit = self.res if trial == "newton" else self.newton_exit
-            return None
+        if res_y is None or not res_y < res:  # rejected: the fixed-point step comes next
+            self.newton_exit = res if trial == "newton" else self.newton_exit
+            return res_y, None, False
         if trial == "newton":
             self.newton_steps += 1
-            self.newton = solved
             self.newton_exit = self.newton_exit if solved else res_y
-        self.res, self.fp_run = res_y, 0
-        return Y, FY, LY, GY
+        return res_y, (Y, FY, LY, GY), trial == "newton" and solved
 
-    def record(self, res: float) -> None:
-        self.res = res
-        self.history.append(res)
-        self.fp_run += 1
+
+BATCH_BUDGET_BYTES = 2**30  # the complex stacks one solve_stack call may hold
 
 
 def solve(
@@ -422,7 +418,7 @@ def solve(
 ) -> SolveReport:
     """Solve by the fixed-point iteration, finished by Newton steps when it is slow.
 
-    A batch of one: see :func:`solve_many` for the iteration, its Newton and
+    A batch of one: see :func:`solve_stack` for the iteration, its Newton and
     restart trials, raw mode and the errors raised.
     """
     return solve_many((instance,), settings, allow_nonhermitian=allow_nonhermitian)[0]
@@ -434,15 +430,38 @@ def solve_many(
     *,
     allow_nonhermitian: bool = False,
 ) -> list[SolveReport]:
-    """Solve every instance of a batch that shares n and m, with shared settings.
+    """:func:`solve_stack` on the stacked data of instances that share n and m;
+    a member of other shapes raises :class:`DimensionMismatch` naming it."""
+    instances = tuple(instances)
+    if not instances:
+        return []
+    shapes = [(inst.Q.shape, [Ai.shape for Ai in inst.A]) for inst in instances]
+    for i, shape in enumerate(shapes):
+        if shape != shapes[0]:
+            raise DimensionMismatch(f"instance {i}: shapes {shape} unlike instance 0's {shapes[0]}")
+    if len(set(shapes[0][1])) != 1:  # m = 0 or A_i of several shapes: validate names the fault
+        validate(instances[0])
+    Q, A = np.stack([inst.Q for inst in instances]), np.array([inst.A for inst in instances])
+    return solve_stack(Q, A, settings, allow_nonhermitian=allow_nonhermitian)
+
+
+def solve_stack(
+    Q: Array,
+    A: Array,
+    settings: SolveSettings | None = None,
+    *,
+    allow_nonhermitian: bool = False,
+) -> list[SolveReport]:
+    """Solve X - sum(A[j, i]* X^-1 A[j, i]) = Q[j] for the stacks Q (k, n, n), A (k, m, n, n).
 
     Each member's report equals that of a lone :func:`solve` call, bit for
-    bit: the members' Q, [A1 ... Am] and iterates are held as (k, n, .)
-    stacks, and one call of each numpy kernel (Cholesky, triangular solves,
-    matmul, eigenvalues) serves every member still iterating, with the
-    arithmetic of a single matrix.  ``settings`` (x0 included) applies to
-    every member.  A member leaves the stacks once its own residual is below
-    ``tol`` or its iterations reach ``max_iter``.
+    bit: one call of each numpy kernel (Cholesky, triangular solves, matmul,
+    eigenvalues) serves the stacks of every member still iterating, with the
+    arithmetic of a single matrix, and ``settings`` (x0 included) applies to
+    all.  A member leaves the stacks once its residual is below ``tol`` or
+    its iterations reach ``max_iter``.  Residuals and counters are arrays:
+    Python touches a member only when its switch rule can fire, and the
+    histories are assembled from the recorded residuals at the end.
 
     Each Hermitian iterate is factored once by Cholesky; the factor is the
     positive definiteness guard and serves all m solves of the map, and the
@@ -477,98 +496,135 @@ def solve_many(
     iteration (LU solves, singular-value residual norm) is applied to the
     matrices exactly as given.
 
-    Returns reports with ``converged=False`` (rather than raising) when the
-    iteration cap is hit; raises :class:`SingularIterate` if a fixed-point
-    iterate stops being positive definite, which for valid input signals
-    numerical breakdown rather than a property of the equation.  Members
-    whose shapes differ raise :class:`DimensionMismatch`.  In a batch of
-    several, an error names the index of the member that raised it.
+    Returns reports with ``converged=False`` when the iteration cap is hit.
+    Raises :class:`SingularIterate` if a fixed-point iterate stops being
+    positive definite (for valid input, a numerical breakdown), ``ValueError``
+    for non-finite entries, :class:`DimensionMismatch` for stacks of other
+    ranks, and, before allocating, :class:`OperatorTooLarge` when the stacks
+    (Q, A, the iterates, F(X), L and G: (4 + 2m) k n^2 complex entries)
+    exceed :data:`BATCH_BUDGET_BYTES`.  In a stack of several, an error
+    names the index of the member that raised it.
     """
-    instances = tuple(instances)
-    if settings is None:
-        settings = SolveSettings()
-    if not instances:
+    Q, A = np.asarray(Q, dtype=complex), np.asarray(A, dtype=complex)
+    if Q.ndim != 3 or A.ndim != 4 or len(A) != len(Q):
+        raise DimensionMismatch(f"need stacks Q (k, n, n) and A (k, m, n, n), "
+                                f"got {Q.shape} and {A.shape}")
+    k, m, n = len(A), A.shape[1], Q.shape[-1]
+    if (nbytes := (4 + 2 * m) * k * n * n * 16) > BATCH_BUDGET_BYTES:
+        raise OperatorTooLarge(f"a batch of k={k} solves at n={n}, m={m} needs {nbytes} B of "
+                               f"stacks, above the budget of {BATCH_BUDGET_BYTES} B")
+    settings = settings or SolveSettings()
+    if not k:
         return []
-    named = len(instances) > 1  # errors name the member
-    shapes = [(inst.Q.shape, [Ai.shape for Ai in inst.A]) for inst in instances]
-    for i, shape in enumerate(shapes):
-        if shape != shapes[0]:
-            raise DimensionMismatch(f"instance {i}: shapes {shape} unlike instance 0's {shapes[0]}")
     hermitian = not allow_nonhermitian
-    Q = np.stack([inst.Q for inst in instances])
+    _validate_stack(Q, A, hermitian)
     if hermitian:
-        _validate_batch(instances, Q)
         apply_map, norm, breakdown = _cholesky_map, _hermitian_norm, "lost positive definiteness"
     else:
         apply_map, norm, breakdown = _lu_map, linalg.spectral_norm, "is singular"
-    Ah = np.stack([_coefficients(inst) for inst in instances])
+    Ah = A.swapaxes(1, 2).reshape(k, A.shape[2], m * A.shape[3])  # [A1 ... Am] per member
     X = _initial_iterates(Q, settings, hermitian)
 
-    def singular(member: _Member, start: bool) -> SingularIterate:
-        what = "starting matrix" if start else f"iterate {len(member.history) + 1}"
-        return SingularIterate(
-            f"{f'instance {member.index}: ' if named else ''}{what} {breakdown}"
-        )
+    named = k > 1  # errors name the member
+    rounds = 0  # rounds taken: each member still in the stacks took part in all
+    alive = np.arange(k)  # the batch index of each stack row, ascending
+    # residuals now (r0) and one and two fixed-point iterates back; a round
+    # without trials only renames them, so other rounds edit copies
+    r0 = r1 = r2 = np.zeros(k)
+    # rounds - last_trial fixed-point steps since a member's last trial; from round calm on, >= 5
+    last_trial, calm = np.zeros(k, dtype=int), 5
+    unrecorded = np.zeros(k, dtype=int)  # trials that evaluated no residual
+    newton: set[int] = set()  # members in a Newton phase
+    phases: dict[int, _Member] = {}  # members whose switch rule has fired
+    entries: list[tuple[Array, Array]] = []  # (batch indices, residuals) in evaluation order
+    finished: list[tuple[Array, float, int]] = [None] * k  # X, residual, iterations
 
-    def step(Q: Array, Ah: Array, X: Array, members: list[_Member], start: bool = False):
-        """F(X), L and G of every member of the stacks (L, G None in raw mode)."""
+    def step(Q: Array, Ah: Array, X: Array, rows, start: bool = False):
+        """F(X), L and G of the stacked members at ``rows`` (L, G None in raw mode)."""
         try:
             out = apply_map(Q, Ah, X)
         except np.linalg.LinAlgError as exc:
-            failure, culprit = exc, members[0]
-            for j, member in enumerate(members if len(members) > 1 else ()):
+            failure, culprit = exc, rows[0]
+            for j in range(len(rows)) if len(rows) > 1 else ():
                 try:  # one member at a time, to name the one that broke down
                     apply_map(Q[j], Ah[j], X[j])
                 except np.linalg.LinAlgError as exc_j:
-                    failure, culprit = exc_j, member
+                    failure, culprit = exc_j, rows[j]
                     break
-            raise singular(culprit, start) from failure
+            what = "starting matrix" if start else f"iterate {rounds - unrecorded[culprit] + 1}"
+            who = f"instance {alive[culprit]}: " if named else ""
+            raise SingularIterate(f"{who}{what} {breakdown}") from failure
         return out if hermitian else (out, None, None)
 
-    members = [_Member(i) for i in range(len(instances))]
-    reports: list[SolveReport] = [None] * len(instances)
-    FX, L, G = step(Q, Ah, X, members, start=True)
-    while members:
-        trials = [member.switch(FX[j]) if hermitian else None for j, member in enumerate(members)]
-        fixed = [j for j, trial in enumerate(trials) if trial is None]
-        if len(fixed) == len(members):  # the whole stack steps: no copies
+    FX, L, G = step(Q, Ah, X, range(k), start=True)
+    while True:
+        trials = {int(np.searchsorted(alive, i)): "newton" for i in newton}
+        if hermitian and rounds >= 5 and len(newton) < len(alive):
+            slow = r0 > 0.25 * r2
+            if rounds < calm:
+                slow &= last_trial <= rounds - 5
+            for j in slow.nonzero()[0].tolist() if slow.any() else ():
+                trial = phases.setdefault(int(alive[j]), _Member()).switch(r0[j], r2[j], FX[j])
+                if trial is not None:
+                    trials[j] = trial
+        if not trials:  # the whole stack steps: no copies
             X, FX, L, G = FX, None, None, None  # the old L and G go before the new are made
-            FX, L, G = step(Q, Ah, X, members)
+            FX, L, G = step(Q, Ah, X, range(len(alive)))
             res = norm(FX - X)
-        elif fixed:
-            X[fixed] = FX[fixed]
-            FXf, LF, GF = step(Q[fixed], Ah[fixed], X[fixed], [members[j] for j in fixed])
-            res = norm(FXf - X[fixed])
-            FX[fixed], L[fixed], G[fixed] = FXf, LF, GF
-        for j, r in zip(fixed, res.tolist() if fixed else ()):
-            members[j].record(r)
-        for j, trial in enumerate(trials):
-            if trial is not None:
-                accepted = members[j].try_trial(
-                    trial, Q[j], Ah[j], X[j], FX[j], L[j], G[j], settings.tol
-                )
-                if accepted is not None:
-                    X[j], FX[j], L[j], G[j] = accepted
-        done = {j for j, member in enumerate(members)
-                if member.res < settings.tol or len(member.history) >= settings.max_iter}
-        if done:
-            for j in done:
-                member = members[j]
-                reports[member.index] = SolveReport(
-                    X=X[j].copy(),
-                    iterations=len(member.history),
-                    residual_norm=member.res,
-                    converged=member.res < settings.tol,
-                    history=tuple(member.history),
-                    newton_steps=member.newton_steps,
-                )
-            keep = [j for j in range(len(members)) if j not in done]
-            members = [members[j] for j in keep]
-            if members:  # compact the stacks
-                Q, Ah, X, FX = Q[keep], Ah[keep], X[keep], FX[keep]
-                if hermitian:
-                    L, G = L[keep], G[keep]
-    return reports
+            r0, r1, r2 = res, r0, r1
+            entries.append((alive, res))
+        else:
+            r0 = r0.copy()  # the trials write into it
+            stepping = np.ones(len(alive), dtype=bool)
+            stepping[list(trials)] = False
+            if stepping.any():
+                fixed = stepping.nonzero()[0]
+                X[fixed] = FX[fixed]
+                FXf, LF, GF = step(Q[fixed], Ah[fixed], X[fixed], fixed)
+                res = norm(FXf - X[fixed])
+                FX[fixed], L[fixed], G[fixed] = FXf, LF, GF
+                r1, r2 = r1.copy(), r2.copy()
+                r2[fixed], r1[fixed], r0[fixed] = r1[fixed], r0[fixed], res
+                entries.append((alive[fixed], res))
+        rounds += 1
+        for j, trial in trials.items():
+            i = int(alive[j])
+            res_y, accepted, in_newton = phases[i].try_trial(trial, r0[j], Q[j], Ah[j], X[j], FX[j],
+                                                             L[j], G[j], settings.tol)
+            last_trial[j], calm = rounds, rounds + 5
+            (newton.add if in_newton else newton.discard)(i)
+            if res_y is None:
+                unrecorded[j] += 1
+            else:
+                entries.append((alive[j : j + 1], np.array([res_y])))
+            if accepted is not None:
+                r0[j] = res_y
+                X[j], FX[j], L[j], G[j] = accepted
+        if r0.min() < settings.tol or rounds >= settings.max_iter:
+            done = r0 < settings.tol
+            if rounds >= settings.max_iter:
+                done |= unrecorded <= rounds - settings.max_iter
+            for i, Xi, res_i, u in zip(alive[done].tolist(), X[done], r0[done].tolist(),
+                                       unrecorded[done].tolist()):
+                finished[i] = (Xi, res_i, rounds - u)
+                newton.discard(i)
+            if done.all():
+                break
+            keep = np.flatnonzero(~done)  # compact the stacks
+            alive, last_trial, unrecorded = alive[keep], last_trial[keep], unrecorded[keep]
+            r0, r1, r2 = r0[keep], r1[keep], r2[keep]
+            Q, Ah, X, FX = Q[keep], Ah[keep], X[keep], FX[keep]
+            if hermitian:
+                L, G = L[keep], G[keep]
+
+    histories = [[] for _ in range(k)]
+    for ids, res in entries:
+        for i, r in zip(ids.tolist(), res.tolist()):
+            histories[i].append(r)
+    return [SolveReport(X=Xi, iterations=its, residual_norm=res_i,
+                        converged=res_i < settings.tol, history=tuple(histories[i]),
+                        newton_steps=phases.get(i, _Member()).newton_steps)
+            for i, (Xi, res_i, its) in enumerate(finished)]
 
 
 def residual(instance: EquationInstance, X: Array) -> tuple[Array, float]:

@@ -39,6 +39,16 @@ def solve_tight(instance, tol=1e-13):
     return rep.X
 
 
+def assert_same_report(got, lone):
+    """Two solve reports agree bit for bit."""
+    assert np.array_equal(got.X, lone.X)
+    assert got.iterations == lone.iterations
+    assert got.history == lone.history
+    assert got.residual_norm == lone.residual_norm
+    assert got.converged == lone.converged
+    assert got.newton_steps == lone.newton_steps
+
+
 def operator_matrix_by_basis(B, n):
     """Independent build of the vec-representation of W -> W + sum(Bi* W Bi).
 

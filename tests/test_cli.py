@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matfix import SolveSettings, solve
+from matfix import SolveSettings, cli, solve
 from matfix.cli import main
 from matfix.fileio import parse_instance
 
@@ -174,6 +174,53 @@ print("SCIPY" if any(m == "scipy" or m.startswith("scipy.") for m in sys.modules
     assert '"newton_steps": 0' not in proc.stdout
 
 
+def test_parser_built_on_first_call_not_at_import():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import matfix.cli as c; print(c._parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+class TestCachedParser:
+    """main builds its parser once per process: each call of a sequence
+    prints what it prints as the first call of a process."""
+
+    EX1 = str(FIXTURES / "example1.json")
+
+    @pytest.mark.parametrize("calls", [
+        [(("solve", EX1, "--tol", "1e-8"), None),
+         (("solve", EX1, "--format", "structured", "--x0", "identity"), None),
+         (("solve", EX1, "--x0", "scale:2", "--tol", "1e-12", "--format", "text"), None)],
+        [(("reproduce", "2", "--seed", "5"), None), (("reproduce", "2"), "7")],
+        [(("solve",), None), (("solve", EX1), None)],
+        [(("--help",), None), (("reproduce", "1"), None)],
+    ], ids=["options", "seed", "usage-error", "help"])
+    def test_later_calls_print_as_first_calls(self, capsys, monkeypatch, calls):
+        def call(argv, seed):
+            if seed is None:
+                monkeypatch.delenv("MATFIX_SEED", raising=False)
+            else:
+                monkeypatch.setenv("MATFIX_SEED", seed)
+            code, out, err = run_cli(capsys, *argv)
+            if "structured" in argv:
+                doc = json.loads(out)
+                doc.pop("wall_clock_s")
+                out = json.dumps(doc)
+            return code, out, err
+
+        first = []
+        for argv, seed in calls:
+            cli._parser.cache_clear()
+            first.append(call(argv, seed))
+        assert len({out for _, out, _ in first}) == len(calls)
+        cli._parser.cache_clear()
+        assert [call(argv, seed) for argv, seed in calls] == first
+        assert cli._parser.cache_info().misses == 1  # one parser served the sequence
+
+
 class TestAnalyzeCommand:
     def test_benchmark2_j7(self, capsys):
         code, doc, _ = run_structured(
@@ -207,6 +254,12 @@ class TestAnalyzeCommand:
         )
         assert code == 1
         assert "do not match" in err
+
+    def test_batch_over_budget_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("matfix.solver.BATCH_BUDGET_BYTES", 1)
+        code, out, err = run_cli(capsys, "solve", str(FIXTURES / "example1.json"))
+        assert (code, out) == (1, "")
+        assert "OperatorTooLarge" in err and "k=1 solves at n=5, m=2" in err
 
     def test_operator_too_large_exit_1(self, capsys, monkeypatch):
         # a refused size is invalid input, not non-convergence (exit 2)

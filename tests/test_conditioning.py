@@ -293,6 +293,11 @@ class TestFdOracle:
         X = solve(inst, SolveSettings(tol=1e-13, max_iter=2000)).X
         assert cond_fd_oracle(inst, X, trials=100) == 0.9176541224611775
 
+    def test_no_trials_gives_zero(self):
+        inst = benchmark_instance(2)
+        X = solve(inst, SolveSettings(tol=1e-13, max_iter=2000)).X
+        assert cond_fd_oracle(inst, X, trials=0) == 0.0
+
     def test_zero_coefficients_exact(self):
         # with A = 0 the data-to-solution map is the identity on Q
         Q = np.diag([2.0, 3.0])

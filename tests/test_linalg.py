@@ -272,6 +272,19 @@ class TestStacks:
             assert list(zip(lo, hi)) == [eig_extremes(h) for h in H]
             assert list(is_positive_definite(H)) == [is_positive_definite(h) for h in H]
 
+    @pytest.mark.parametrize("shape", [(4, 5, 5), (2, 3, 4, 4), (3, 1, 1), (3, 3, 6), (2, 0, 3)])
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_frobenius_stack_equals_numpy_norm(self, rng, shape, complex_data):
+        # bit for bit np.linalg.norm(S, "fro") of each member, at every scale
+        M = rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, shape[:-2] + (1, 1))
+        if complex_data:
+            M = M + 1j * rng.standard_normal(shape)
+        flat = M.reshape(int(np.prod(shape[:-2])), *shape[-2:])
+        norms = frobenius_norm(M)
+        assert norms.shape == shape[:-2]
+        assert list(norms.ravel()) == [np.linalg.norm(S, "fro") for S in flat]
+        assert [frobenius_norm(S) for S in flat] == [np.linalg.norm(S, "fro") for S in flat]
+
     def test_hermitian_part_equals_mirrored_lower_triangle(self, rng):
         # negative zeros and overflow included: the result is bit for bit
         # the mirrored lower triangle

@@ -44,6 +44,18 @@ def perturbed_solution(inst, spec):
     return solve_tight(pert, tol=1e-13)
 
 
+class TestPerturbationSpec:
+    def test_norms_computed_once_at_construction(self, rng, monkeypatch):
+        dA = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2)]
+        dQ = hermitian_part(rng.standard_normal((4, 4)))
+        spec = PerturbationSpec(dA=dA, dQ=dQ)
+        assert spec.da_norms == tuple(spectral_norm(D) for D in dA)
+        assert spec.dq_norm == spectral_norm(dQ)
+        monkeypatch.setattr("matfix.linalg.spectral_norm", None)  # no norm is taken again
+        assert spec.da_norms == tuple(spectral_norm(D) for D in dA)
+        assert spec.dq_norm == spectral_norm(dQ)
+
+
 class TestXi1:
     def test_zero_perturbation(self):
         inst = benchmark_instance(2)

@@ -9,6 +9,7 @@ from matfix import (
     MatfixError,
     NotHermitian,
     NotPositiveDefinite,
+    OperatorTooLarge,
     SingularIterate,
     SolveSettings,
     ValidationError,
@@ -17,6 +18,7 @@ from matfix import (
     scalar_solution,
     solve,
     solve_many,
+    solve_stack,
     spectral_norm,
     validate,
 )
@@ -27,7 +29,7 @@ from matfix.examples import benchmark_instance
 from matfix.fileio import parse_instance
 from matfix.operators import l_representation
 from matfix.reference_values import BENCHMARK1
-from tests.conftest import make_random_instance
+from tests.conftest import assert_same_report, make_random_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -489,15 +491,6 @@ class TestHybridSolver:
         assert rep.newton_steps <= 10
 
 
-def assert_same_report(got, lone):
-    assert np.array_equal(got.X, lone.X)
-    assert got.iterations == lone.iterations
-    assert got.history == lone.history
-    assert got.residual_norm == lone.residual_norm
-    assert got.converged == lone.converged
-    assert got.newton_steps == lone.newton_steps
-
-
 class TestSolveMany:
     @pytest.mark.parametrize(
         "settings",
@@ -580,3 +573,96 @@ class TestSolveMany:
         with pytest.raises(SingularIterate, match="^instance 1: iterate 2 lost positive definiteness$"):
             solve_many(batch)
         assert len(calls) == 5  # start, iterate 1, iterate 2 stacked, then each member alone
+
+
+def stacks(batch):
+    """The Q (k, n, n) and A (k, m, n, n) stacks of a batch of instances."""
+    return np.array([inst.Q for inst in batch]), np.array([inst.A for inst in batch])
+
+
+class TestSolveStack:
+    # benchmark 1, a mild instance, one that takes Newton steps and the
+    # nearly singular Q that takes the X # F(X) restart: n = 5, m = 2, and
+    # every member leaves the stacks at its own iteration
+    BATCH = (
+        benchmark_instance(1),
+        gaussian_instance(1, 5, 2, 0.3),
+        gaussian_instance(2, 5, 2, 30.0),
+        EquationInstance(A=[0.1 * np.eye(5)] * 2, Q=np.diag([1e-12, 1, 1, 1, 1])),
+    )
+
+    @pytest.mark.parametrize(
+        "settings", [SolveSettings(max_iter=200), SolveSettings(tol=1e-13, max_iter=2000)]
+    )
+    def test_equals_solve_many_and_lone_solves(self, settings, monkeypatch):
+        restarts = []
+        geometric_mean = solver_module._geometric_mean
+        monkeypatch.setattr(solver_module, "_geometric_mean",
+                            lambda L, FX: restarts.append(None) or geometric_mean(L, FX))
+        reports = solve_stack(*stacks(self.BATCH), settings)
+        assert restarts
+        lone = [solve(inst, settings) for inst in self.BATCH]
+        assert len({rep.iterations for rep in lone}) >= 3
+        assert lone[2].newton_steps > 0 and lone[0].newton_steps == 0
+        for got, many, ref in zip(reports, solve_many(self.BATCH, settings), lone):
+            assert_same_report(got, many)
+            assert_same_report(got, ref)
+
+    def test_raw_equals_solve_many(self):
+        batch = [benchmark_instance(4, k) for k in range(1, 5)]
+        reports = solve_stack(*stacks(batch), allow_nonhermitian=True)
+        many = solve_many(batch, allow_nonhermitian=True)
+        for got, ref in zip(reports, many):
+            assert_same_report(got, ref)
+
+    def test_empty_stack(self):
+        assert solve_stack(np.zeros((0, 5, 5)), np.zeros((0, 2, 5, 5))) == []
+
+    @pytest.mark.parametrize("Q_shape, A_shape", [((5, 5), (1, 2, 5, 5)), ((2, 5, 5), (2, 5, 5)),
+                                                  ((2, 5, 5), (3, 2, 5, 5))])
+    def test_stack_ranks_checked(self, Q_shape, A_shape):
+        with pytest.raises(DimensionMismatch, match="need stacks"):
+            solve_stack(np.ones(Q_shape), np.ones(A_shape))
+
+    @pytest.mark.parametrize("allow_nonhermitian", [False, True])
+    def test_non_finite_member_named(self, allow_nonhermitian):
+        Q, A = stacks([benchmark_instance(1)] * 3)
+        for data, where, message in ((A, (1, 1, 2, 3), "A[1]"), (Q, (1, 0, 0), "Q")):
+            saved = data[where]
+            data[where] = np.nan
+            with pytest.raises(ValueError) as exc:
+                solve_stack(Q, A, allow_nonhermitian=allow_nonhermitian)
+            assert str(exc.value) == f"instance 1: {message} contains non-finite entries"
+            with pytest.raises(ValueError) as exc:  # a stack of one reads as the coercion
+                solve_stack(Q[1:2], A[1:2], allow_nonhermitian=allow_nonhermitian)
+            assert str(exc.value) == f"{message} contains non-finite entries"
+            data[where] = saved
+
+    def test_invalid_member_named(self):
+        Q, A = stacks([benchmark_instance(1)] * 3)
+        nonhermitian = np.eye(5)
+        nonhermitian[0, 1] = 0.5
+        for bad, error, message in ((-np.eye(5), NotPositiveDefinite, "Q is not positive definite"),
+                                    (nonhermitian, NotHermitian, "Q is not Hermitian")):
+            Qj = Q.copy()
+            Qj[2] = bad
+            with pytest.raises(error) as exc:
+                solve_stack(Qj, A)
+            assert str(exc.value) == f"instance 2: {message}"
+            with pytest.raises(error) as exc:
+                solve_stack(Qj[2:], A[2:])
+            assert str(exc.value) == message
+
+    def test_batch_over_budget_refused_before_solving(self, monkeypatch):
+        # (4 + 2m) k n^2 complex entries: Q, A, the iterates, F(X), L and G
+        Q, A = stacks([benchmark_instance(1)] * 3)
+        nbytes = (4 + 2 * 2) * 3 * 5 * 5 * 16
+        monkeypatch.setattr(solver_module, "BATCH_BUDGET_BYTES", nbytes)
+        assert len(solve_stack(Q, A)) == 3
+        monkeypatch.setattr(solver_module, "BATCH_BUDGET_BYTES", nbytes - 1)
+        monkeypatch.setattr(solver_module, "_validate_stack", None)  # never reached
+        with pytest.raises(OperatorTooLarge, match=f"k=3 solves at n=5, m=2 needs {nbytes} B"):
+            solve_stack(Q, A)
+        monkeypatch.setattr(solver_module, "BATCH_BUDGET_BYTES", nbytes // 3 - 1)
+        with pytest.raises(OperatorTooLarge, match="k=1 solves"):
+            solve(benchmark_instance(1))  # a lone solve is a stack of one
