@@ -159,6 +159,46 @@ def real_form(M: Array, n: int) -> Array:
     return out.reshape(n * n, n * n)
 
 
+def complex_form(R: Array, n: int) -> Array:
+    """Complex N x N matrix T* R T, the inverse of :func:`real_form` (N = n^2).
+
+    For real R, T* R T = [R + Pi R Pi + i (R Pi - Pi R)]/2, formed by the
+    axis swaps of :func:`real_form`.  Entries (r, c) and (Pi r, Pi c) come
+    from the same two entries of R, so the result commutes with W -> W*
+    exactly: Pi C Pi == conj(C) bit for bit, whatever the rounding in R.
+    """
+    R4 = np.asarray(R, dtype=float).reshape(n, n, n, n)
+    C = np.empty((n, n, n, n), dtype=complex)
+    np.add(R4, R4.transpose(1, 0, 3, 2), out=C.real)
+    np.subtract(R4.transpose(0, 1, 3, 2), R4.transpose(1, 0, 2, 3), out=C.imag)
+    halves = C.view(float)
+    halves *= 0.5
+    return C.reshape(n * n, n * n)
+
+
+def real_block(M: Array, n: int) -> Array:
+    """Real matrix [Re T M, Im T M] for M with N = n^2 rows, T as in :func:`real_form`.
+
+    When M M* commutes with W -> W* (as P_i P_i* does, see
+    :mod:`matfix.operators`), T M M* T* is real and is the Gram matrix of
+    this block, so the block has the singular values of M.  T M =
+    ((1-i) M + (1+i) Pi M)/2, and Pi M permutes rows: no matmul.
+    """
+    M3 = np.asarray(M).reshape(n, n, -1)
+    a, b = M3.real, M3.imag
+    c, d = a.transpose(1, 0, 2), b.transpose(1, 0, 2)  # Re and Im of Pi M
+    out = np.empty((n, n, 2, M3.shape[-1]))
+    re, im = out[:, :, 0], out[:, :, 1]
+    np.add(a, b, out=re)
+    re += c
+    re -= d
+    np.subtract(b, a, out=im)
+    im += c
+    im += d
+    out *= 0.5
+    return out.reshape(n * n, -1)
+
+
 def hermitian_part(M: Array) -> Array:
     """(M + M*)/2 with exact conjugate symmetry, for a matrix or a stack (..., n, n).
 

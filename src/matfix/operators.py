@@ -13,22 +13,32 @@ with Pi the vec-permutation.  Neither Kronecker factor is formed as a
 matrix: both products with L_rep^-1 are batched n x n products on L_rep^-1
 reshaped to (n^2, n, n), O(n^5) instead of the O(n^6) of dense matmuls
 (see :func:`_structured_products`, shared with the condition numbers).
-L_rep and the P_i_rep are locals of :func:`build_bundle`, each P_i_rep
-formed, normed and dropped in turn; the bundle keeps B and L_rep^-1, its
-one dense array, which the condition numbers and the first-order change
-reuse.  L commutes with W -> W*, so the norms of L_rep and L_rep^-1 are
-taken from their real forms (:func:`matfix.linalg.real_form`).  On real
-data (every B_i real) all of these are float64.  The dense arrays are
-counted against :data:`DENSE_BUDGET_BYTES` before they are allocated.  The
-scalar surrogates, all spectral norms from :func:`matfix.linalg.spectral_norm`:
+L_rep and the P_i_rep are locals of :func:`build_bundle`, each dropped as
+soon as it is used; the bundle keeps B and L_rep^-1, its one dense array,
+which the condition numbers and the first-order change reuse.
 
-* ``l``        reciprocal of the spectral norm of L_rep.  This lower-bounds
-               the true inverse-operator norm surrogate ||L^-1||^-1 in any
-               submultiplicative norm (||L|| * ||L^-1|| >= 1), so using it
-               keeps the downstream bound valid, and it reproduces the
-               reference feasibility values.  The smallest singular value of
-               L_rep would not: it can overshoot the Hermitian-restricted
-               operator norm.
+The dense work runs in real arithmetic.  L commutes with W -> W*, so its
+real form R = T L_rep T* (:func:`matfix.linalg.real_form`) is a real matrix
+with the singular values of L_rep.  R is inverted as a float64 matrix, the
+extreme singular values are taken from R and R^-1, and L_rep^-1 = T* R^-1 T
+(:func:`matfix.linalg.complex_form`) commutes with W -> W* exactly.  With
+K_i the map Z -> B_i* Z + Z^T B_i, K_i K_i* maps W to B_i* B_i W +
+B_i* conj(B_i) W^T + W^T B_i^T B_i + W B_i* B_i, which commutes with
+W -> W*; so do L^-1 and L^-*, hence P_i P_i* does, and (T P_i)(T P_i)* =
+T P_i P_i* T* is real.  ||P_i|| is therefore the norm of the real
+n^2 x 2n^2 block [Re T P_i, Im T P_i] (:func:`matfix.linalg.real_block`),
+whose Gram matrix is a real symmetric eigenproblem.  On real data (every
+B_i real) L_rep and the P_i are float64 already and are normed as they are.
+The dense arrays alive at the peak are counted against
+:data:`DENSE_BUDGET_BYTES` before anything is allocated.  The scalar
+surrogates, all spectral norms from :func:`matfix.linalg.spectral_norm`:
+
+* ``l``        reciprocal of the spectral norm of L_rep.  It reproduces the
+               published feasibility values.  It is not a lower bound on
+               ||L^-1||^-1, the smallest singular value of L: at n=16, m=2,
+               Q=I, ||A_i||=3 (Gaussian, seed 3) l = 0.3527 while that
+               singular value is 0.3303.  Whether xi3 and con5/con6 built on
+               it are conservative is open (ROADMAP item 1).
 * ``n_ops[i]`` largest singular value of P_i_rep.
 * ``theta_is`` spectral norms of the B_i; ``theta`` is the sum of squares.
 * ``zeta``     spectral norm of X^-1.
@@ -114,13 +124,18 @@ def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
     B = tuple(Xinv @ Ai for Ai in instance.A)
     real = not any(Bi.imag.any() for Bi in B)
     B = tuple(Bi.real.copy() if real else Bi for Bi in B)
-    require_dense_budget(n, len(B), 3, float if real else complex)  # L_rep, L_inv, one P_i
+    # float64 n^2 x n^2 arrays alive at the peak, the norm of one P_i: L_inv,
+    # the real block of P_i, and the scaled copy, Gram matrix and eigensolver
+    # copy of spectral_norm; complex data 2+2+2+1+1, real data 1+1+1+1+1.
+    # Every other step holds fewer, as each array is dropped once used.
+    require_dense_budget(n, len(B), 5 if real else 8, float)
 
-    L_rep = l_representation(B, n)
-    s_max = linalg.spectral_norm(linalg.real_form(L_rep, n))
+    R = linalg.real_form(l_representation(B, n), n)  # a complex L_rep is dropped here
+    s_max = linalg.spectral_norm(R)
     try:
-        L_inv = linalg.inverse(L_rep)
-        s_min = 1.0 / linalg.spectral_norm(linalg.real_form(L_inv, n))
+        R_inv = linalg.inverse(R)
+        del R
+        s_min = 1.0 / linalg.spectral_norm(R_inv)
     except SingularMatrix:  # the inverse failed or is not finite
         s_min = 0.0
     if s_min <= n * n * np.finfo(float).eps * s_max:
@@ -130,8 +145,18 @@ def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
         )
     # trace(L_rep) >= n^2 forces ||L_rep|| >= 1, so l <= 1 <= 1 + theta.
     l = 1.0 / s_max
+    L_inv = R_inv if real else linalg.complex_form(R_inv, n)
+    del R_inv
 
-    n_ops = tuple(linalg.spectral_norm(np.add(*_structured_products(L_inv, Bi))) for Bi in B)
+    n_ops = []
+    for Bi in B:
+        P, M2 = _structured_products(L_inv, Bi)
+        P += M2  # P_i_rep
+        del M2
+        if not real:
+            P = linalg.real_block(P, n)  # P_i P_i* commutes with W -> W*
+        n_ops.append(linalg.spectral_norm(P))
+        del P
     theta_is = tuple(linalg.spectral_norm(Bi) for Bi in B)
     theta = float(sum(t * t for t in theta_is))
     zeta = linalg.spectral_norm(Xinv)
@@ -139,11 +164,12 @@ def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
         B=B,
         L_inv=L_inv,
         l=l,
-        n_ops=n_ops,
+        n_ops=tuple(n_ops),
         theta_is=theta_is,
         theta=theta,
         zeta=zeta,
         norm_kind="dense-exact: reciprocal spectral(real form of L), "
-        "spectral(P_i) via scaled Gram eigenvalue" + (", float64 (real data)" if real else ""),
+        "spectral(P_i) via scaled Gram eigenvalue"
+        + (", float64 (real data)" if real else " of [Re T P_i, Im T P_i] (P_i P_i* commutes with W -> W*)"),
     )
 

@@ -15,7 +15,7 @@ from matfix import (
     vec_permutation,
 )
 from matfix.examples import BENCHMARK4_Q, tridiagonal_seed
-from matfix.linalg import real_form
+from matfix.linalg import complex_form, real_block, real_form
 
 
 def tridiag_eigs(n=5):
@@ -210,6 +210,26 @@ class TestRealForm:
     def test_real_input_returned_as_is(self, rng):
         M = rng.standard_normal((4, 4))
         assert real_form(M, 2) is M
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_complex_form_inverts_real_form(self, rng, n):
+        R = rng.standard_normal((n * n, n * n))
+        C = complex_form(R, n)
+        P = vec_permutation(n)
+        T = ((1 - 1j) * np.eye(n * n) + (1 + 1j) * P) / 2
+        assert np.abs(C - T.conj().T @ R @ T).max() <= 1e-15 * np.abs(R).max()
+        assert np.abs(real_form(C, n) - R).max() <= 2 * np.finfo(float).eps * np.abs(R).max()
+        # commutes with W -> W* by construction, not up to rounding
+        assert np.array_equal(P @ C @ P, C.conj())
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_real_block_is_the_rotated_rows(self, rng, n):
+        N = n * n
+        M = rng.standard_normal((N, N + 1)) + 1j * rng.standard_normal((N, N + 1))
+        T = ((1 - 1j) * np.eye(N) + (1 + 1j) * vec_permutation(n)) / 2
+        W = real_block(M, n)
+        assert W.dtype == np.float64 and W.shape == (N, 2 * (N + 1))
+        assert np.abs(W - np.hstack([(T @ M).real, (T @ M).imag])).max() <= 1e-15 * np.abs(M).max()
 
 
 class TestHermitianPart:

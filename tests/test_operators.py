@@ -19,7 +19,7 @@ from matfix import (
     vec,
     vec_permutation,
 )
-from matfix.linalg import apply_l
+from matfix.linalg import apply_l, complex_form, real_form
 from matfix.operators import DENSE_BUDGET_BYTES, _structured_products, l_representation
 from tests.conftest import make_random_instance, operator_matrix_by_basis, solve_tight
 
@@ -160,6 +160,46 @@ class TestBuildBundle:
             Pi = L_inv @ (np.kron(eye, Bi.conj().T) + np.kron(Bi.T, eye) @ P)
             assert n_i == pytest.approx(np.linalg.svd(Pi, compute_uv=False)[0], rel=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    @pytest.mark.parametrize("norm", [0.3, 3.0])
+    def test_n_ops_match_svd_of_kron_built_p(self, rng, n, norm):
+        A = []
+        for _ in range(2):
+            G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            A.append(norm * G / np.linalg.norm(G, 2))
+        inst = EquationInstance(A=A, Q=np.eye(n))
+        X = solve_tight(inst)
+        bundle = build_bundle(inst, X)
+        B = [np.linalg.inv(X) @ Ai for Ai in A]
+        eye, P = np.eye(n), vec_permutation(n)
+        L_inv = np.linalg.inv(np.eye(n * n) + sum(np.kron(Bi.T, Bi.conj().T) for Bi in B))
+        for Bi, n_i in zip(B, bundle.n_ops):
+            Pi = L_inv @ (np.kron(eye, Bi.conj().T) + np.kron(Bi.T, eye) @ P)
+            assert n_i == pytest.approx(np.linalg.svd(Pi, compute_uv=False)[0], rel=1e-13)
+
+    def test_operator_sized_problems_are_float64(self, rng, monkeypatch):
+        # on complex data, every n^2 x n^2 inverse and eigenproblem of
+        # build_bundle and cond_complex is solved in real arithmetic; only
+        # the n x n ones (X^-1, the norms of X^-1 and the B_i) are complex
+        n = 3
+        inst = make_random_instance(rng, n=n, m=2)
+        X = solve_tight(inst)
+        calls = []
+
+        def recording(name, fn):
+            def wrapper(a, *args, **kwargs):
+                calls.append((name, np.asarray(a).dtype, np.asarray(a).shape[-1]))
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "inv", recording("inv", np.linalg.inv))
+        cond_complex(inst, X, build_bundle(inst, X))
+        dense = [(name, dtype) for name, dtype, size in calls if size >= n * n]
+        assert {name for name, _ in dense} == {"eigvalsh", "inv"}
+        assert all(dtype == np.float64 for _, dtype in dense)
+        assert all(size == n for _, dtype, size in calls if dtype != np.float64)
+
 
 class TestRealData:
     @pytest.mark.parametrize("n", range(1, 6))
@@ -192,8 +232,10 @@ class TestRealData:
 class TestDenseBudget:
     @pytest.mark.parametrize("call", ["build_bundle", "cond_real"])
     def test_refused_before_allocating(self, call):
-        # n = 100: L_rep alone would be 0.8 GB in float64; build_bundle holds
-        # L_rep, L_inv and one P_i, cond_real its operator and the inverse
+        # n = 100: L_rep alone would be 0.8 GB in float64; build_bundle on real
+        # data holds five float64 operator arrays at its peak (L_inv, one P_i,
+        # and spectral_norm's scaled copy, Gram and eigensolver copy), cond_real
+        # its operator and the inverse
         n = 100
         inst = EquationInstance(A=[np.zeros((n, n))], Q=np.eye(n))
         X = np.eye(n)
@@ -211,8 +253,30 @@ class TestDenseBudget:
         message = str(info.value)
         assert "n=100" in message and "m=1" in message
         assert str(DENSE_BUDGET_BYTES) in message
-        expected = (3 if call == "build_bundle" else 2) * n**4 * 8
+        expected = (5 if call == "build_bundle" else 2) * n**4 * 8
         assert f"{expected} B" in message
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_build_bundle_counts_its_peak(self, rng, monkeypatch, complex_data):
+        # float64 n^2 x n^2 arrays alive at the peak: 8 on complex data, 5 on real
+        n = 12
+        inst = make_random_instance(rng, n=n, m=2, complex_data=complex_data)
+        X = solve_tight(inst)
+        unit = n**4 * 8
+        counted = (8 if complex_data else 5) * unit
+        monkeypatch.setattr("matfix.operators.DENSE_BUDGET_BYTES", counted)
+        tracemalloc.start()
+        try:
+            build_bundle(inst, X if complex_data else X.real)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the traced peak misses the eigensolver's working copy (one unit,
+        # allocated outside numpy's tracing) and holds numpy's ufunc buffers
+        assert peak + unit <= counted + 2**17
+        monkeypatch.setattr("matfix.operators.DENSE_BUDGET_BYTES", counted - 1)
+        with pytest.raises(OperatorTooLarge, match=f"need {counted} B"):
+            build_bundle(inst, X if complex_data else X.real)
 
     def test_cond_complex_row_refused_before_allocating(self, rng, monkeypatch):
         # the n^2 x n^2(2m+1) float64 row is checked before it is allocated
@@ -259,10 +323,15 @@ class TestStructuredProducts:
             assert np.abs(Pi - dense).max() < 1e-13
 
     def test_l_inv_is_inverse_of_l_rep(self, rng):
+        # L_inv is T* R^-1 T for R the real form of L_rep: one float64 inverse
         inst = make_random_instance(rng, n=4, m=2)
         bundle = build_bundle(inst, solve_tight(inst))
         assert bundle.L_inv.shape == (16, 16)
-        assert np.array_equal(bundle.L_inv, inverse(l_representation(bundle.B, 4)))
+        L_rep = l_representation(bundle.B, 4)
+        assert np.array_equal(bundle.L_inv, complex_form(inverse(real_form(L_rep, 4)), 4))
+        assert np.abs(bundle.L_inv @ L_rep - np.eye(16)).max() <= 1e-13
+        P = vec_permutation(4)
+        assert np.array_equal(P @ bundle.L_inv @ P, bundle.L_inv.conj())
         assert bundle.n == 4
 
 
