@@ -2,9 +2,9 @@
 
 The first-order map from data perturbations to the solution perturbation is
 one real block row whose spectral norm, scaled by the weight xi, is the
-condition number.  :func:`_condition` builds both cases' rows from L^-1 and
-the B_i, with M1, M2 the O(n^5) structured products L^-1 kron(I, B_i*) and
-L^-1 kron(B_i^T, I) Pi of :mod:`matfix.operators`:
+condition number.  Both cases are built from L^-1 and the B_i, with M1, M2
+the O(n^5) structured products L^-1 kron(I, B_i*) and L^-1 kron(B_i^T, I) Pi
+of :mod:`matfix.operators`:
 
 * complex case: the textbook row is 2n^2 x 2n^2(m+1), on (Re, Im) of data
   and vec dX.  Its dA blocks map into Hermitian matrices and L^-1 keeps
@@ -18,6 +18,28 @@ L^-1 kron(B_i^T, I) Pi of :mod:`matfix.operators`:
   symmetric X, C_i^T = X^-1 A_i, and a float64 bundle at X already holds
   these B_i and L^-1; otherwise (a nonsymmetric raw-mode solution, say)
   L^-1 is formed here.
+
+On real data (:func:`_condition_split`) every B_i is real, and in the
+svec/avec basis U = [U_s, U_a] of :mod:`matfix.operators` L^-1 =
+U diag(Ls^-1, La^-1) U^T.  S = L^-1 K_i^+ with K_i^+(Z) = B_i^T Z + Z^T B_i
+has symmetric output, D = L^-1 K_i^- with K_i^-(Z) = B_i^T Z - Z^T B_i
+antisymmetric output (on real data V_i = [S, D]).  So either row's Gram
+matrix is block diagonal in U:
+
+    Sym:  rho^2 Ls^-1 Ls^-T + sum(eta_i^2 S_i S_i^T),   S_i = U_s^T S,
+    Anti: rho^2 La^-1 La^-T [+ sum(eta_i^2 D_i D_i^T),  D_i = U_a^T D,
+                              complex case only],
+
+and the value is the larger of the norms of the s x (s + mN) row
+(rho Ls^-1, eta_i S_i) and of the Anti row, s = n(n+1)/2 and N = n^2.
+S_i and D_i are the structured products on the lifted rows U_s^T L^-1 and
+U_a^T L^-1 (:func:`matfix.linalg.sym_anti_rows`).  The blocks come from a
+bundle's L^-1 by an O(N^2) gather (:func:`matfix.linalg.sym_anti_blocks`),
+or, for a nonsymmetric X, from inverting the blocks of its own L_rep.
+
+Each call counts the float64 entries alive at its peak against the dense
+budget before it allocates them: the rows, spectral_norm's scaled copy,
+Gram matrix and eigensolver copy, and on real data the two blocks.
 
 Absolute mode uses unit weights; relative mode uses Frobenius norms of the
 data (eta_i = ||A_i||_F, rho = ||Q||_F, xi = ||X||_F).
@@ -35,7 +57,14 @@ import numpy as np
 
 from . import linalg
 from .errors import NotReal
-from .operators import OperatorBundle, _structured_products, l_representation, require_dense_budget
+from .operators import (
+    OperatorBundle,
+    _structured_products,
+    block_inverse_peak,
+    l_representation,
+    require_dense_budget,
+    split_orders,
+)
 from .solver import EquationInstance, SolveSettings, solve_stack
 
 Array = np.ndarray
@@ -67,33 +96,74 @@ def _weights(instance: EquationInstance, X: Array, mode: str) -> tuple[float, fl
 
 
 def _condition(
-    instance: EquationInstance, X: Array, L_inv: Array, B, mode: str, case: str
+    instance: EquationInstance, X: Array, L_inv: Array, B, mode: str
 ) -> ConditionReport:
-    """Condition number from the block row of L^-1 and the B_i (module docstring)."""
+    """Complex case on complex data: the n^2 x n^2(2m+1) row (rho R, eta_i V_i)."""
     n, N, m = instance.n, instance.n ** 2, len(B)
     xi, rho, etas = _weights(instance, X, mode)
-    width = 1 if case == "real" else 2  # blocks per dA_i
-    require_dense_budget(n, m, 1 + width * m, float)  # the row
-    row = np.empty((N, N * (1 + width * m)))
+    # the row, then spectral_norm's scaled copy of it, Gram matrix and
+    # eigensolver copy; while a dA_i block is formed, the row and the two
+    # complex structured products, fewer for every m >= 1
+    require_dense_budget(n, m, 2 * (2 * m + 1) * N * N + 2 * N * N)
+    row = np.empty((N, N * (1 + 2 * m)))
     np.multiply(linalg.real_form(L_inv, n), rho, out=row[:, :N])
     for i, Bi in enumerate(B):
         M1, M2 = _structured_products(L_inv, Bi)
-        blocks = row[:, N * (1 + width * i) : N * (1 + width * (i + 1))]
-        if case == "real":
-            np.add(M1, M2, out=blocks)
-        else:
-            S, D = M1 + M2, M1 - M2
-            np.add(S.real, S.imag, out=blocks[:, :N])
-            np.subtract(D.real, D.imag, out=blocks[:, N:])
+        blocks = row[:, N * (1 + 2 * i) : N * (3 + 2 * i)]
+        # Re S + Im S and Re D - Im D for S = M1 + M2, D = M1 - M2, in place
+        re, im = blocks[:, :N], blocks[:, N:]
+        np.add(M1.real, M2.real, out=re)
+        np.add(M1.imag, M2.imag, out=im)
+        re += im
+        np.subtract(M1.real, M2.real, out=im)
+        np.subtract(M1.imag, M2.imag, out=M1.imag)
+        im -= M1.imag
+        del M1, M2
         blocks *= etas[i]
-    return ConditionReport(
-        mode=mode,
-        case=case,
-        value=linalg.spectral_norm(row) / xi,
-        xi=xi,
-        rho=rho,
-        etas=etas,
-    )
+    return ConditionReport(mode=mode, case="complex", value=linalg.spectral_norm(row) / xi,
+                           xi=xi, rho=rho, etas=etas)
+
+
+def _split_peak(n: int, m: int, case: str) -> int:
+    """float64 entries alive at the peak of :func:`_condition_split`.
+
+    Ls^-1 and La^-1 throughout (and two gathers of order a while they are
+    formed from a bundle's L^-1); per part, its row, and either the lifted
+    rows and two structured products of one dA_i block, or spectral_norm's
+    scaled copy, Gram matrix and eigensolver copy.
+    """
+    s, a, N = split_orders(n)
+    held = s * s + a * a
+    peak = held + 2 * a * a
+    for k, width in ((s, m), (a, m if case == "complex" else 0)):
+        row = k * (k + width * N)
+        peak = max(peak, held + row + max(3 * k * N if width else 0, row + 2 * k * k))
+    return peak
+
+
+def _condition_split(
+    instance: EquationInstance, X: Array, inverses: tuple[Array, Array], B, mode: str, case: str
+) -> ConditionReport:
+    """Either case on real data, from the blocks (Ls^-1, La^-1) of L^-1 (module docstring)."""
+    n, N = instance.n, instance.n ** 2
+    xi, rho, etas = _weights(instance, X, mode)
+    norms = []
+    for inv, anti in zip(inverses, (False, True)):
+        k, width = inv.shape[0], len(B) if case == "complex" or not anti else 0
+        row = np.empty((k, k + width * N))
+        np.multiply(inv, rho, out=row[:, :k])
+        if width:
+            lifted = linalg.sym_anti_rows(inv, n, anti)  # U_s^T L^-1 or U_a^T L^-1
+            for i, Bi in enumerate(B):
+                M1, M2 = _structured_products(lifted, Bi)
+                block = row[:, k + N * i : k + N * (i + 1)]
+                (np.subtract if anti else np.add)(M1, M2, out=block)  # D or S rows
+                del M1, M2
+                block *= etas[i]
+            del lifted, block
+        norms.append(linalg.spectral_norm(row))
+        del row
+    return ConditionReport(mode=mode, case=case, value=max(norms) / xi, xi=xi, rho=rho, etas=etas)
 
 
 def cond_complex(
@@ -103,7 +173,11 @@ def cond_complex(
     mode: str = "relative",
 ) -> ConditionReport:
     """Condition number from the complex-case block construction, on the bundle's L^-1."""
-    return _condition(instance, X, bundle.L_inv, bundle.B, mode, "complex")
+    if bundle.L_inv.dtype != np.float64:
+        return _condition(instance, X, bundle.L_inv, bundle.B, mode)
+    require_dense_budget(instance.n, bundle.m, _split_peak(instance.n, bundle.m, "complex"))
+    inverses = linalg.sym_anti_blocks(bundle.L_inv, instance.n)
+    return _condition_split(instance, X, inverses, bundle.B, mode, "complex")
 
 
 def _require_real(M: Array, what: str) -> Array:
@@ -134,12 +208,18 @@ def cond_real(
     Xr = _require_real(X, "X")
     _require_real(instance.Q, "Q")
     As = [_require_real(Ai, f"A[{i}]") for i, Ai in enumerate(instance.A)]
+    split = _split_peak(n, len(As), "real")
     if bundle is not None and bundle.L_inv.dtype == np.float64 and np.array_equal(Xr, Xr.T):
-        return _condition(instance, Xr, bundle.L_inv, bundle.B, mode, "real")
-    require_dense_budget(n, len(As), 2, float)  # I + sum(kron(C_i, C_i)) and its inverse
+        require_dense_budget(n, len(As), split)
+        inverses = linalg.sym_anti_blocks(bundle.L_inv, n)
+        return _condition_split(instance, Xr, inverses, bundle.B, mode, "real")
+    require_dense_budget(n, len(As), max(block_inverse_peak(n), split))
     Xinv = linalg.inverse(Xr)
     B = tuple((Ai.T @ Xinv).T for Ai in As)
-    return _condition(instance, Xr, linalg.inverse(l_representation(B, n)), B, mode, "real")
+    Ls, La = linalg.sym_anti_blocks(l_representation(B, n), n)  # I + sum(kron(C_i, C_i))
+    inverses = linalg.inverse(Ls), linalg.inverse(La)
+    del Ls, La
+    return _condition_split(instance, Xr, inverses, B, mode, "real")
 
 
 def _is_real_instance(instance: EquationInstance) -> bool:

@@ -16,7 +16,9 @@ Conventions fixed project-wide:
 
 from __future__ import annotations
 
+import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -199,6 +201,108 @@ def real_block(M: Array, n: int) -> Array:
     return out.reshape(n * n, -1)
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
+@functools.lru_cache(maxsize=8)
+def _sym_anti_index(n: int) -> SimpleNamespace:
+    """Index arrays of the bases of :func:`sym_anti_blocks`, O(n^2) each, built once per n.
+
+    The svec coordinates are the n diagonal entries, then the a = n(n-1)/2
+    pairs p < q, row by row; the avec coordinates are the same pairs.
+    Fields: ``d``, ``up``, ``low``, the vec indices of W[p, p], of W[p, q]
+    and of W[q, p] per pair (with column vectors ``d_c``, ``up_c``,
+    ``low_c``, so that gathers index by broadcasting); and per vec index of
+    W[i, j], ``pair`` and ``apair``, the svec and avec positions of {i, j}
+    (avec 0 when i = j), ``asign``, the U_a entry sign(j - i)/sqrt(2), and
+    ``weight``, the U_s entry (1 when i = j, else 1/sqrt(2)).
+    """
+    i, j = np.indices((n, n))
+    p, q = np.nonzero(i < j)  # the pairs p < q, row by row
+    d, up, low = np.arange(n) * (n + 1), p + n * q, q + n * p
+    pair = np.diag(np.arange(n))
+    pair[p, q] = pair[q, p] = n + np.arange(p.size)
+    apair = np.zeros((n, n), dtype=np.intp)
+    apair[p, q] = apair[q, p] = np.arange(p.size)
+    asign = np.zeros((n, n))
+    asign[p, q], asign[q, p] = 1.0 / _SQRT2, -1.0 / _SQRT2
+    weight = np.full((n, n), 1.0 / _SQRT2)
+    np.fill_diagonal(weight, 1.0)
+    index = SimpleNamespace(
+        d=d, d_c=d[:, None], up=up, up_c=up[:, None], low=low, low_c=low[:, None],
+        pair=pair.ravel(order="F"), apair=apair.ravel(order="F"),
+        asign=asign.ravel(order="F"), weight=weight.ravel(order="F"),
+    )
+    for arr in vars(index).values():
+        arr.flags.writeable = False
+    return index
+
+
+def sym_anti_blocks(M: Array, n: int) -> tuple[Array, Array]:
+    """Diagonal blocks (U_s^T M U_s, U_a^T M U_a) of a real N x N matrix M (N = n^2).
+
+    The columns of U_s are vec(E_pp), then vec(E_pq + E_qp)/sqrt(2), those of
+    U_a vec(E_pq - E_qp)/sqrt(2), for the pairs p < q of
+    :func:`_sym_anti_index`: orthonormal bases of the symmetric and the
+    antisymmetric matrices.  M must represent an operator that commutes with
+    W -> W^T, as L and L^-1 do on real data: M[Pi r, Pi c] = M[r, c].  So,
+    writing pq for the vec index of W[p, q]:
+
+        Ls = [[M[pp, kk],          sqrt(2) M[pp, kl]          ],
+              [sqrt(2) M[pq, kk],  M[pq, kl] + M[pq, lk]      ]],
+        La = M[pq, kl] - M[pq, lk],
+
+    O(N^2) gathers, no matmul.
+    """
+    ix = _sym_anti_index(n)
+    same, cross = M[ix.up_c, ix.up], M[ix.up_c, ix.low]
+    A = same - cross
+    S = np.empty((n + A.shape[0],) * 2)
+    S[:n, :n] = M[ix.d_c, ix.d]
+    np.multiply(M[ix.d_c, ix.up], _SQRT2, out=S[:n, n:])
+    np.multiply(M[ix.up_c, ix.d], _SQRT2, out=S[n:, :n])
+    np.add(same, cross, out=S[n:, n:])
+    return S, A
+
+
+def from_sym_anti_blocks(S: Array, A: Array, n: int) -> Array:
+    """U_s S U_s^T + U_a A U_a^T, the inverse of :func:`sym_anti_blocks`.
+
+    Off the diagonal, (W[p, q], W[k, l]) with p < q, k < l gets
+    (S + A)/2 at the pairs' entry, and so does (W[q, p], W[l, k]);
+    (W[p, q], W[l, k]) and (W[q, p], W[k, l]) get (S - A)/2.  A diagonal
+    W[p, p] pairs with S alone, weighted 1 or 1/sqrt(2).  Each block is
+    assigned into the result without an N x N temporary; S = I and A = I
+    give the identity exactly, and entries (r, c) and (Pi r, Pi c) are the
+    same number, so the result commutes with W -> W^T exactly.
+    """
+    ix = _sym_anti_index(n)
+    out = np.empty((n * n, n * n))
+    out[ix.d_c, ix.d] = S[:n, :n]
+    out[ix.d_c, ix.up] = out[ix.d_c, ix.low] = S[:n, n:] / _SQRT2
+    out[ix.up_c, ix.d] = out[ix.low_c, ix.d] = S[n:, :n] / _SQRT2
+    same, cross = S[n:, n:] + A, S[n:, n:] - A
+    same *= 0.5
+    cross *= 0.5
+    out[ix.up_c, ix.up] = out[ix.low_c, ix.low] = same
+    out[ix.up_c, ix.low] = out[ix.low_c, ix.up] = cross
+    return out
+
+
+def sym_anti_rows(M: Array, n: int, anti: bool = False) -> Array:
+    """M U_s^T, or M U_a^T if ``anti``: rows over svec (avec) coordinates, read over vec.
+
+    For the blocks of L^-1 these are the rows U_s^T L^-1 and U_a^T L^-1
+    (:func:`from_sym_anti_blocks`); column gathers, no matmul.
+    """
+    if not M.size:
+        return np.zeros((0, n * n))
+    ix = _sym_anti_index(n)
+    rows = M[:, ix.apair if anti else ix.pair]
+    rows *= ix.asign if anti else ix.weight
+    return rows
+
+
 def hermitian_part(M: Array) -> Array:
     """(M + M*)/2 with exact conjugate symmetry, for a matrix or a stack (..., n, n).
 
@@ -239,7 +343,8 @@ def inverse(M: Array) -> Array:
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"matrix of order {n} is exactly singular") from exc
     # cheap 1-norm condition estimate; SVD would be overkill per call
-    cond1 = float(np.linalg.norm(M, 1) * np.linalg.norm(Minv, 1))
+    cond1 = float(np.abs(M).sum(axis=0).max(initial=0.0)
+                  * np.abs(Minv).sum(axis=0).max(initial=0.0))
     if not np.isfinite(Minv).all() or cond1 > 0.1 / _EPS:
         raise SingularMatrix(
             f"matrix of order {n} is singular to working precision "

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matfix import (
     EquationInstance,
@@ -51,7 +52,8 @@ class TestInverseReuse:
 
         monkeypatch.setattr("matfix.linalg.inverse", record)
         cond_real(inst, X, "relative")
-        assert seen == [np.float64, np.float64]  # X^-1, then (I + sum kron(C_i, C_i))^-1
+        # X^-1, then the Sym and Anti blocks of I + sum kron(C_i, C_i)
+        assert seen == [np.float64, np.float64, np.float64]
 
 
     def test_cond_real_reuses_a_real_bundle(self, rng, monkeypatch):
@@ -283,6 +285,38 @@ class TestBlockRowAssembly:
         rep = cond_complex(inst, X, bundle, mode)
         row = complex_block_row(bundle, rep)
         assert rep.value * rep.xi == pytest.approx(top_singular_value(row), rel=1e-12)
+
+
+class TestRealDataSplit:
+    """On real data both condition numbers come from the Sym and Anti blocks
+    of L^-1; they equal the np.kron-built textbook rows."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 5),
+        m=st.integers(1, 3),
+        coeff=st.sampled_from([0.5, 1.5]),
+        mode=st.sampled_from(["absolute", "relative"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conditions_match_kron_rows(self, n, m, coeff, mode, seed):
+        rng = np.random.default_rng(seed)
+        inst = real_instance(rng, n=n, m=m, coeff_scale=coeff)
+        X = solve_tight(inst).real
+        bundle = build_bundle(inst, X)
+        for rep in (cond_real(inst, X, mode, bundle=bundle), cond_real(inst, X, mode)):
+            row = real_block_row(inst, X, rep)
+            assert rep.value * rep.xi == pytest.approx(top_singular_value(row), rel=1e-13)
+        K = rng.standard_normal((n, n))
+        raw = X + 0.1 * (K - K.T)  # a nonsymmetric X, as from a raw-mode solve
+        rep = cond_real(inst, raw, mode)
+        assert rep.value * rep.xi == pytest.approx(
+            top_singular_value(real_block_row(inst, raw, rep)), rel=1e-13
+        )
+        rep = cond_complex(inst, X, bundle, mode)
+        assert rep.value * rep.xi == pytest.approx(
+            top_singular_value(complex_block_row(bundle, rep)), rel=1e-13
+        )
 
 
 class TestFdOracle:

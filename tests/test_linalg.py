@@ -15,7 +15,14 @@ from matfix import (
     vec_permutation,
 )
 from matfix.examples import BENCHMARK4_Q, tridiagonal_seed
-from matfix.linalg import complex_form, real_block, real_form
+from matfix.linalg import (
+    complex_form,
+    from_sym_anti_blocks,
+    real_block,
+    real_form,
+    sym_anti_blocks,
+    sym_anti_rows,
+)
 
 
 def tridiag_eigs(n=5):
@@ -230,6 +237,66 @@ class TestRealForm:
         W = real_block(M, n)
         assert W.dtype == np.float64 and W.shape == (N, 2 * (N + 1))
         assert np.abs(W - np.hstack([(T @ M).real, (T @ M).imag])).max() <= 1e-15 * np.abs(M).max()
+
+
+def sym_anti_bases(n):
+    """Orthonormal vec bases U_s, U_a of the symmetric and antisymmetric n x n
+    matrices, diagonal entries first, then the pairs p < q row by row."""
+    sym, anti = [], []
+    for p in range(n):
+        E = np.zeros((n, n))
+        E[p, p] = 1.0
+        sym.append(vec(E))
+    for p in range(n):
+        for q in range(p + 1, n):
+            E = np.zeros((n, n))
+            E[p, q] = E[q, p] = 1 / np.sqrt(2)
+            sym.append(vec(E))
+            E[q, p] = -E[q, p]
+            anti.append(vec(E))
+    return np.array(sym).T, np.array(anti).reshape(-1, n * n).T
+
+
+def real_l_rep(rng, n, m):
+    """I + sum(kron(B^T, B^T)) for random real B: commutes with W -> W^T."""
+    L = np.eye(n * n)
+    for _ in range(m):
+        B = rng.standard_normal((n, n)) / n
+        L += np.kron(B.T, B.T)
+    return L
+
+
+class TestSymAnti:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_blocks_match_the_bases(self, rng, n):
+        L = real_l_rep(rng, n, 2)
+        Us, Ua = sym_anti_bases(n)
+        assert np.abs(Us.T @ L @ Ua).max(initial=0.0) <= 1e-15 * np.abs(L).max()  # no coupling
+        S, A = sym_anti_blocks(L, n)
+        assert S.shape == (n * (n + 1) // 2,) * 2 and A.shape == (n * (n - 1) // 2,) * 2
+        assert np.abs(S - Us.T @ L @ Us).max() <= 1e-15 * np.abs(L).max()
+        assert np.abs(A - Ua.T @ L @ Ua).max(initial=0.0) <= 1e-15 * np.abs(L).max()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_from_blocks_is_the_inverse(self, rng, n):
+        L = real_l_rep(rng, n, 2)
+        S, A = sym_anti_blocks(L, n)
+        Us, Ua = sym_anti_bases(n)
+        M = from_sym_anti_blocks(np.linalg.inv(S), np.linalg.inv(A), n)
+        assert np.abs(M - np.linalg.inv(L)).max() <= 1e-14 * np.abs(M).max()
+        # commutes with W -> W^T by construction, not up to rounding
+        P = vec_permutation(n)
+        assert np.array_equal(P @ M @ P, M)
+        Si, Ai = np.linalg.inv(S), np.linalg.inv(A)
+        assert np.abs(sym_anti_rows(Si, n) - Us.T @ M).max() <= 1e-14 * np.abs(M).max()
+        assert sym_anti_rows(Ai, n, anti=True).shape == (A.shape[0], n * n)
+        assert np.abs(sym_anti_rows(Ai, n, anti=True) - Ua.T @ M).max(initial=0.0) <= 1e-14 * np.abs(M).max()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_identity_round_trip_is_exact(self, n):
+        S, A = sym_anti_blocks(np.eye(n * n), n)
+        assert np.array_equal(S, np.eye(S.shape[0])) and np.array_equal(A, np.eye(A.shape[0]))
+        assert np.array_equal(from_sym_anti_blocks(S, A, n), np.eye(n * n))
 
 
 class TestHermitianPart:

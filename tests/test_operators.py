@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matfix import (
     EquationInstance,
@@ -229,14 +230,78 @@ class TestRealData:
             assert n_i == pytest.approx(np.linalg.svd(Pi, compute_uv=False)[0], rel=1e-13)
 
 
+class TestSymAntiSplit:
+    """On real data L_rep is block diagonal in the svec/avec basis; the bundle
+    equals the np.kron-built textbook operators."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 5),
+        m=st.integers(1, 3),
+        norm=st.sampled_from([0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bundle_matches_kron_textbook(self, n, m, norm, seed):
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((m, n, n))
+        A = norm * G / np.linalg.norm(G, 2, axis=(-2, -1), keepdims=True)
+        C = rng.standard_normal((n, n))
+        inst = EquationInstance(A=A, Q=C @ C.T + np.eye(n))
+        X = solve_tight(inst).real
+        bundle = build_bundle(inst, X)
+        B = [np.linalg.inv(X) @ Ai for Ai in A]
+        eye, P = np.eye(n), vec_permutation(n)
+        L = np.eye(n * n) + sum(np.kron(Bi.T, Bi.T) for Bi in B)
+        L_inv = np.linalg.inv(L)
+        assert bundle.L_inv.dtype == np.float64
+        assert bundle.l == pytest.approx(1.0 / np.linalg.svd(L, compute_uv=False)[0], rel=1e-13)
+        assert np.abs(bundle.L_inv - L_inv).max() <= 1e-13 * np.abs(L_inv).max()
+        for Bi, n_i in zip(B, bundle.n_ops):
+            Pi = L_inv @ (np.kron(eye, Bi.T) + np.kron(Bi.T, eye) @ P)
+            assert n_i == pytest.approx(np.linalg.svd(Pi, compute_uv=False)[0], rel=1e-13)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_zero_coefficients_give_the_identity_exactly(self, n, m):
+        inst = EquationInstance(A=[np.zeros((n, n))] * m, Q=np.diag(np.arange(1.0, n + 1)))
+        bundle = build_bundle(inst, inst.Q)
+        assert np.array_equal(bundle.L_inv, np.eye(n * n))
+        assert bundle.l == 1.0
+        assert bundle.n_ops == (0.0,) * m
+
+    def test_dense_calls_stay_at_half_order(self, rng, monkeypatch):
+        # every inverse and eigenproblem of the real-data analysis is of order
+        # at most s = n(n+1)/2, never the full N = n^2
+        n = 6
+        inst = make_random_instance(rng, n=n, m=2, complex_data=False)
+        X = solve_tight(inst).real
+        K = rng.standard_normal((n, n))
+        shapes = []
+
+        def recording(fn):
+            def wrapper(a, *args, **kwargs):
+                shapes.append(np.shape(a)[-2:])
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "inv", recording(np.linalg.inv))
+        bundle = build_bundle(inst, X)
+        cond_real(inst, X, bundle=bundle)
+        cond_real(inst, X)
+        cond_real(inst, X + 0.01 * (K - K.T))  # nonsymmetric X, its own blocks
+        cond_complex(inst, X, bundle)
+        assert shapes and max(max(shape) for shape in shapes) == n * (n + 1) // 2
+
+
 class TestDenseBudget:
     @pytest.mark.parametrize("call", ["build_bundle", "cond_real"])
     def test_refused_before_allocating(self, call):
-        # n = 100: L_rep alone would be 0.8 GB in float64; build_bundle on real
-        # data holds five float64 operator arrays at its peak (L_inv, one P_i,
-        # and spectral_norm's scaled copy, Gram and eigensolver copy), cond_real
-        # its operator and the inverse
+        # n = 100: L_rep alone would be 0.8 GB in float64.  On real data the
+        # peak of build_bundle is the norm of one P_i's s x N symmetric-output
+        # rows, that of cond_real the norm of its s x (s + mN) Sym row
         n = 100
+        s, a, N = n * (n + 1) // 2, n * (n - 1) // 2, n * n
         inst = EquationInstance(A=[np.zeros((n, n))], Q=np.eye(n))
         X = np.eye(n)
         tracemalloc.start()
@@ -253,39 +318,49 @@ class TestDenseBudget:
         message = str(info.value)
         assert "n=100" in message and "m=1" in message
         assert str(DENSE_BUDGET_BYTES) in message
-        expected = (5 if call == "build_bundle" else 2) * n**4 * 8
-        assert f"{expected} B" in message
+        if call == "build_bundle":  # Ls^-1, La^-1, the rows U_s^T L^-1, P_i's rows, its norm
+            expected = s * s + a * a + 3 * s * N + 2 * s * s
+        else:  # Ls^-1, La^-1, the Sym row, the rows U_s^T L^-1 and the two products
+            expected = s * s + a * a + s * (s + N) + 3 * s * N
+        assert f"{expected * 8} B" in message
 
     @pytest.mark.parametrize("complex_data", [False, True])
     def test_build_bundle_counts_its_peak(self, rng, monkeypatch, complex_data):
-        # float64 n^2 x n^2 arrays alive at the peak: 8 on complex data, 5 on real
+        # float64 entries alive at the peak: 8 n^2 x n^2 arrays on complex
+        # data; on real data (s = n(n+1)/2) the norm of one P_i's rows
         n = 12
+        s, a, N = n * (n + 1) // 2, n * (n - 1) // 2, n * n
         inst = make_random_instance(rng, n=n, m=2, complex_data=complex_data)
         X = solve_tight(inst)
-        unit = n**4 * 8
-        counted = (8 if complex_data else 5) * unit
+        X = X if complex_data else X.real
+        counted = (8 * N * N if complex_data else 3 * s * s + a * a + 3 * s * N) * 8
+        gram = (N if complex_data else s) ** 2 * 8
+        build_bundle(inst, X)  # builds the per-n index arrays outside the trace
         monkeypatch.setattr("matfix.operators.DENSE_BUDGET_BYTES", counted)
         tracemalloc.start()
         try:
-            build_bundle(inst, X if complex_data else X.real)
+            build_bundle(inst, X)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the traced peak misses the eigensolver's working copy (one unit,
-        # allocated outside numpy's tracing) and holds numpy's ufunc buffers
-        assert peak + unit <= counted + 2**17
+        # the traced peak misses the eigensolver's working copy of the Gram
+        # matrix (allocated outside numpy's tracing) and holds numpy's ufunc
+        # and indexing buffers
+        assert peak + gram <= counted + 2**17
         monkeypatch.setattr("matfix.operators.DENSE_BUDGET_BYTES", counted - 1)
         with pytest.raises(OperatorTooLarge, match=f"need {counted} B"):
-            build_bundle(inst, X if complex_data else X.real)
+            build_bundle(inst, X)
 
     def test_cond_complex_row_refused_before_allocating(self, rng, monkeypatch):
-        # the n^2 x n^2(2m+1) float64 row is checked before it is allocated
+        # the n^2 x n^2(2m+1) float64 row and spectral_norm's scaled copy,
+        # Gram matrix and eigensolver copy are counted before the row exists
         n, m = 10, 2
         inst = make_random_instance(rng, n=n, m=m)
         X = solve_tight(inst)
         bundle = build_bundle(inst, X)
         row_bytes = (2 * m + 1) * n**4 * 8
-        monkeypatch.setattr("matfix.operators.DENSE_BUDGET_BYTES", row_bytes - 1)
+        counted = 2 * row_bytes + 2 * n**4 * 8
+        monkeypatch.setattr("matfix.operators.DENSE_BUDGET_BYTES", counted - 1)
         tracemalloc.start()
         try:
             with pytest.raises(OperatorTooLarge) as info:
@@ -294,7 +369,69 @@ class TestDenseBudget:
         finally:
             tracemalloc.stop()
         assert peak < row_bytes // 4
-        assert f"need {row_bytes} B" in str(info.value)
+        assert f"need {counted} B" in str(info.value)
+
+    @pytest.mark.parametrize("call", ["complex data", "real data", "real", "real own", "real raw"])
+    def test_condition_counts_its_peak(self, rng, monkeypatch, call):
+        # the count is every float64 entry alive at the peak of the call, on
+        # top of the bundle: the row, its scaled copy, Gram matrix and
+        # eigensolver copy, and on real data the blocks Ls^-1 and La^-1
+        n, m = 12, 2
+        s, a, N = n * (n + 1) // 2, n * (n - 1) // 2, n * n
+        inst = make_random_instance(rng, n=n, m=m, complex_data=call == "complex data")
+        X = solve_tight(inst)
+        if call != "complex data":
+            X = X.real
+        if call == "real raw":  # a nonsymmetric X, as from a raw-mode solve
+            K = rng.standard_normal((n, n))
+            X = X + 0.01 * (K - K.T)
+        bundle = build_bundle(inst, X)
+        if call == "complex data":
+            counted, gram = (4 * m + 4) * N * N, N * N
+        else:
+            row = s * (s + m * N)
+            counted, gram = s * s + a * a + 2 * row + 2 * s * s, s * s
+        counted *= 8
+        gram *= 8
+
+        def run():
+            if call in ("complex data", "real data"):
+                return cond_complex(inst, X, bundle)
+            return cond_real(inst, X, bundle=bundle if call == "real" else None)
+
+        expected = run().value
+        monkeypatch.setattr("matfix.operators.DENSE_BUDGET_BYTES", counted)
+        tracemalloc.start()
+        try:
+            assert run().value == expected
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak + gram <= counted + 2**17
+        monkeypatch.setattr("matfix.operators.DENSE_BUDGET_BYTES", counted - 1)
+        with pytest.raises(OperatorTooLarge, match=f"need {counted} B"):
+            run()
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_l_representation_holds_one_term(self, rng, complex_data):
+        # each Kronecker term is added in place: the peak is the result plus
+        # one term and numpy's fixed-size iteration buffers, and the sum is
+        # np.kron's bit for bit
+        n = 24
+        B = tuple(rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_data else 0)
+                  for _ in range(3))
+        result = n**4 * (16 if complex_data else 8)
+        tracemalloc.start()
+        try:
+            L = l_representation(B, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * result + 2**19
+        expected = np.eye(n * n, dtype=L.dtype)
+        for Bi in B:
+            expected += np.kron(Bi.T, Bi.conj().T)
+        assert np.array_equal(L, expected)
 
 
 class TestStructuredProducts:
