@@ -1,48 +1,54 @@
 """Rice-style condition numbers of the solution, complex and real case.
 
-The first-order map from data perturbations to the solution perturbation is
-one real block row whose spectral norm, scaled by the weight xi, is the
-condition number.  Both cases are built from L^-1 and the B_i, with M1, M2
-the O(n^5) structured products L^-1 kron(I, B_i*) and L^-1 kron(B_i^T, I) Pi
-of :mod:`matfix.operators`:
+The first-order map from the data (dA_1..dA_m, dQ) to dX is one real block
+row Phi = (rho Phi_Q, eta_i Phi_i); the condition number is ||Phi||_2 / xi,
+the norm of that map in the sense of Rice (SIAM J. Numer. Anal. 3, 1966).
+||Phi||_2^2 is the top eigenvalue of the weighted sum of the blocks' Gram
+matrices, Phi Phi^T = rho^2 Phi_Q Phi_Q^T + sum(eta_i^2 Phi_i Phi_i^T).  The
+weights change with the mode, the blocks do not, so
+:func:`matfix.operators.gram_parts` forms each block M once and keeps
+G = (M/c)(M/c)^T, c = max |M_jk|.  With M1, M2 the structured products
+L^-1 kron(I, B_i*) and L^-1 kron(B_i^T, I) Pi, S = M1 + M2 = P_i_rep and
+D = M1 - M2:
 
 * complex case: the textbook row is 2n^2 x 2n^2(m+1), on (Re, Im) of data
   and vec dX.  Its dA blocks map into Hermitian matrices and L^-1 keeps
-  Hermitian and skew parts apart, so in (Hermitian, skew) output coordinates
-  its Gram matrix is diag(G_H, rho^2 R R^T), and G_H = rho^2 R R^T +
-  sum(eta_i^2 V_i V_i^T) dominates: the norm is that of the n^2 x n^2(2m+1)
-  row (rho R, eta_i V_i), R the real form of L^-1, V_i = [Re S + Im S,
-  Re D - Im D] for S = M1 + M2 and D = M1 - M2, on the bundle's L^-1;
-* real case: the row (rho L^-1, eta_i (M1 + M2)) with B_i = C_i^T for
-  C_i = A_i^T X^-1, so L_rep = I + sum(kron(C_i, C_i)).  For an exactly
-  symmetric X, C_i^T = X^-1 A_i, and a float64 bundle at X already holds
-  these B_i and L^-1; otherwise (a nonsymmetric raw-mode solution, say)
-  L^-1 is formed here.
+  Hermitian and skew parts apart, so in (Hermitian, skew) output
+  coordinates its Gram matrix is diag(G_H, rho^2 R^-1 R^-T), R the real
+  form of L_rep, and G_H = rho^2 R^-1 R^-T + sum(eta_i^2 (S' S'^T + D' D'^T))
+  with S' = Re S + Im S, D' = Re D - Im D dominates: one part, with
+  G_Q = R^-1 R^-T, G_S,i = S' S'^T and G_D,i = D' D'^T;
+* real case: the row (rho L^-1, eta_i S) with B_i = C_i^T for
+  C_i = A_i^T X^-1, so L_rep = I + sum(kron(C_i, C_i)).  At an exactly
+  symmetric X, C_i^T = X^-1 A_i and a float64 bundle at X holds these
+  Grams; otherwise (a raw-mode solution, say) they are formed here,
+  without the surrogates.
 
-On real data (:func:`_condition_split`) every B_i is real, and in the
-svec/avec basis U = [U_s, U_a] of :mod:`matfix.operators` L^-1 =
-U diag(Ls^-1, La^-1) U^T.  S = L^-1 K_i^+ with K_i^+(Z) = B_i^T Z + Z^T B_i
-has symmetric output, D = L^-1 K_i^- with K_i^-(Z) = B_i^T Z - Z^T B_i
-antisymmetric output (on real data V_i = [S, D]).  So either row's Gram
-matrix is block diagonal in U:
+On real data L^-1 = U diag(Ls^-1, La^-1) U^T in the svec/avec basis
+U = [U_s, U_a] of :mod:`matfix.operators`; S' = S maps into symmetric
+matrices (K_i^+(Z) = B_i^T Z + Z^T B_i is symmetric) and D' = D into
+antisymmetric ones.  So U^T Phi has Sym rows (rho Ls^-1 U_s^T, eta_i S_i, 0)
+and Anti rows (rho La^-1 U_a^T, 0, eta_i D_i), S_i = U_s^T S, D_i = U_a^T D,
+whose cross Gram vanishes (U_s^T U_a = 0): Phi Phi^T is block diagonal,
 
-    Sym:  rho^2 Ls^-1 Ls^-T + sum(eta_i^2 S_i S_i^T),   S_i = U_s^T S,
-    Anti: rho^2 La^-1 La^-T [+ sum(eta_i^2 D_i D_i^T),  D_i = U_a^T D,
-                              complex case only],
+    Sym:  rho^2 Ls^-1 Ls^-T + sum(eta_i^2 S_i S_i^T),
+    Anti: rho^2 La^-1 La^-T [+ sum(eta_i^2 D_i D_i^T), complex case only],
 
-and the value is the larger of the norms of the s x (s + mN) row
-(rho Ls^-1, eta_i S_i) and of the Anti row, s = n(n+1)/2 and N = n^2.
-S_i and D_i are the structured products on the lifted rows U_s^T L^-1 and
-U_a^T L^-1 (:func:`matfix.linalg.sym_anti_rows`).  The blocks come from a
-bundle's L^-1 by an O(N^2) gather (:func:`matfix.linalg.sym_anti_blocks`),
-or, for a nonsymmetric X, from inverting the blocks of its own L_rep.
+and the value is the larger part's, an eigenproblem of order at most
+s = n(n+1)/2.
 
-Each call counts the float64 entries alive at its peak against the dense
-budget before it allocates them: the rows, spectral_norm's scaled copy,
-Gram matrix and eigensolver copy, and on real data the two blocks.
+The S-Grams also give n_i = ||P_i||.  For real Z, K_i(Z) = B_i* Z + Z^T B_i
+is Hermitian and L^-1 keeps it so: every column of S is the vec of a
+Hermitian matrix, Pi conj(S) = S.  With the unitary T = ((1-i) I +
+(1+i) Pi)/2, T S = ((1-i) S + (1+i) conj(S))/2 = Re S + Im S = S' is real,
+and ||P_i|| = ||T S|| = ||S'||; on real data ||P_i|| = ||U_s S_i|| = ||S_i||.
 
-Absolute mode uses unit weights; relative mode uses Frobenius norms of the
-data (eta_i = ||A_i||_F, rho = ||Q||_F, xi = ||X||_F).
+The weighted sum divides each weight w c by the largest, t, and the value
+is t sqrt(lambda_max(sum((w c / t)^2 G))) / xi, so no square overflows.
+The sum and its eigensolver copy are counted against the dense budget
+before they exist.  Absolute mode uses unit weights; relative mode uses
+Frobenius norms of the data (eta_i = ||A_i||_F, rho = ||Q||_F,
+xi = ||X||_F).
 
 ``cond_fd_oracle`` is an independent Monte-Carlo lower estimate obtained
 from actual perturbed solves, all of them one :func:`solve_stack` batch; it
@@ -59,11 +65,10 @@ from . import linalg
 from .errors import NotReal
 from .operators import (
     OperatorBundle,
-    _structured_products,
-    block_inverse_peak,
-    l_representation,
+    gram_parts,
+    gram_parts_peak,
+    real_form_blocks,
     require_dense_budget,
-    split_orders,
 )
 from .solver import EquationInstance, SolveSettings, solve_stack
 
@@ -95,75 +100,28 @@ def _weights(instance: EquationInstance, X: Array, mode: str) -> tuple[float, fl
     raise ValueError(f"mode must be 'absolute' or 'relative', got {mode!r}")
 
 
-def _condition(
-    instance: EquationInstance, X: Array, L_inv: Array, B, mode: str
-) -> ConditionReport:
-    """Complex case on complex data: the n^2 x n^2(2m+1) row (rho R, eta_i V_i)."""
-    n, N, m = instance.n, instance.n ** 2, len(B)
-    xi, rho, etas = _weights(instance, X, mode)
-    # the row, then spectral_norm's scaled copy of it, Gram matrix and
-    # eigensolver copy; while a dA_i block is formed, the row and the two
-    # complex structured products, fewer for every m >= 1
-    require_dense_budget(n, m, 2 * (2 * m + 1) * N * N + 2 * N * N)
-    row = np.empty((N, N * (1 + 2 * m)))
-    np.multiply(linalg.real_form(L_inv, n), rho, out=row[:, :N])
-    for i, Bi in enumerate(B):
-        M1, M2 = _structured_products(L_inv, Bi)
-        blocks = row[:, N * (1 + 2 * i) : N * (3 + 2 * i)]
-        # Re S + Im S and Re D - Im D for S = M1 + M2, D = M1 - M2, in place
-        re, im = blocks[:, :N], blocks[:, N:]
-        np.add(M1.real, M2.real, out=re)
-        np.add(M1.imag, M2.imag, out=im)
-        re += im
-        np.subtract(M1.real, M2.real, out=im)
-        np.subtract(M1.imag, M2.imag, out=M1.imag)
-        im -= M1.imag
-        del M1, M2
-        blocks *= etas[i]
-    return ConditionReport(mode=mode, case="complex", value=linalg.spectral_norm(row) / xi,
-                           xi=xi, rho=rho, etas=etas)
+def _sum_peak(order: int) -> int:
+    """float64 entries of the weighted sum of the largest part and its eigensolver copy."""
+    return 2 * order * order
 
 
-def _split_peak(n: int, m: int, case: str) -> int:
-    """float64 entries alive at the peak of :func:`_condition_split`.
+def _condition(instance: EquationInstance, X: Array, parts, mode: str, case: str) -> ConditionReport:
+    """||Phi||_2 / xi from each part's stacked Grams G and scales c (module docstring).
 
-    Ls^-1 and La^-1 throughout (and two gathers of order a while they are
-    formed from a bundle's L^-1); per part, its row, and either the lifted
-    rows and two structured products of one dA_i block, or spectral_norm's
-    scaled copy, Gram matrix and eigensolver copy.
+    Each part's stack holds G_Q, then m-block runs of G_S,i or G_D,i, whose
+    weights are rho and the eta_i in turn.
     """
-    s, a, N = split_orders(n)
-    held = s * s + a * a
-    peak = held + 2 * a * a
-    for k, width in ((s, m), (a, m if case == "complex" else 0)):
-        row = k * (k + width * N)
-        peak = max(peak, held + row + max(3 * k * N if width else 0, row + 2 * k * k))
-    return peak
-
-
-def _condition_split(
-    instance: EquationInstance, X: Array, inverses: tuple[Array, Array], B, mode: str, case: str
-) -> ConditionReport:
-    """Either case on real data, from the blocks (Ls^-1, La^-1) of L^-1 (module docstring)."""
-    n, N = instance.n, instance.n ** 2
     xi, rho, etas = _weights(instance, X, mode)
-    norms = []
-    for inv, anti in zip(inverses, (False, True)):
-        k, width = inv.shape[0], len(B) if case == "complex" or not anti else 0
-        row = np.empty((k, k + width * N))
-        np.multiply(inv, rho, out=row[:, :k])
-        if width:
-            lifted = linalg.sym_anti_rows(inv, n, anti)  # U_s^T L^-1 or U_a^T L^-1
-            for i, Bi in enumerate(B):
-                M1, M2 = _structured_products(lifted, Bi)
-                block = row[:, k + N * i : k + N * (i + 1)]
-                (np.subtract if anti else np.add)(M1, M2, out=block)  # D or S rows
-                del M1, M2
-                block *= etas[i]
-            del lifted, block
-        norms.append(linalg.spectral_norm(row))
-        del row
-    return ConditionReport(mode=mode, case=case, value=max(norms) / xi, xi=xi, rho=rho, etas=etas)
+    require_dense_budget(instance.n, len(etas), _sum_peak(parts[0][0].shape[-1]))
+    value = 0.0
+    for G, c in parts:
+        wc = c * np.array([rho, *etas * ((len(c) - 1) // max(len(etas), 1))])
+        top = float(wc.max())
+        if top > 0.0:
+            weighted = ((wc / top) ** 2 @ G.reshape(len(c), -1)).reshape(G.shape[1:])  # one gemv
+            value = max(value, float(linalg.gram_norm(weighted, top)))
+            del weighted
+    return ConditionReport(mode=mode, case=case, value=value / xi, xi=xi, rho=rho, etas=etas)
 
 
 def cond_complex(
@@ -172,12 +130,8 @@ def cond_complex(
     bundle: OperatorBundle,
     mode: str = "relative",
 ) -> ConditionReport:
-    """Condition number from the complex-case block construction, on the bundle's L^-1."""
-    if bundle.L_inv.dtype != np.float64:
-        return _condition(instance, X, bundle.L_inv, bundle.B, mode)
-    require_dense_budget(instance.n, bundle.m, _split_peak(instance.n, bundle.m, "complex"))
-    inverses = linalg.sym_anti_blocks(bundle.L_inv, instance.n)
-    return _condition_split(instance, X, inverses, bundle.B, mode, "complex")
+    """Condition number of the complex case, from the bundle's Grams."""
+    return _condition(instance, X, bundle.grams, mode, "complex")
 
 
 def _require_real(M: Array, what: str) -> Array:
@@ -202,24 +156,25 @@ def cond_real(
     The formula is applied with C_i = A_i^T X^-1 exactly as written, so it
     also accepts a nonsymmetric real X from a raw-mode solve.  A ``bundle``
     built at X is reused when it is float64 and X is exactly symmetric:
-    its B and L^-1 are then the real case's, up to rounding.
+    its Grams are then the real case's, up to rounding.  The real case
+    drops the D-blocks: the Sym part whole, the Anti part's G_Q alone.
     """
     n = instance.n
     Xr = _require_real(X, "X")
     _require_real(instance.Q, "Q")
     As = [_require_real(Ai, f"A[{i}]") for i, Ai in enumerate(instance.A)]
-    split = _split_peak(n, len(As), "real")
-    if bundle is not None and bundle.L_inv.dtype == np.float64 and np.array_equal(Xr, Xr.T):
-        require_dense_budget(n, len(As), split)
-        inverses = linalg.sym_anti_blocks(bundle.L_inv, n)
-        return _condition_split(instance, Xr, inverses, bundle.B, mode, "real")
-    require_dense_budget(n, len(As), max(block_inverse_peak(n), split))
-    Xinv = linalg.inverse(Xr)
-    B = tuple((Ai.T @ Xinv).T for Ai in As)
-    Ls, La = linalg.sym_anti_blocks(l_representation(B, n), n)  # I + sum(kron(C_i, C_i))
-    inverses = linalg.inverse(Ls), linalg.inverse(La)
-    del Ls, La
-    return _condition_split(instance, Xr, inverses, B, mode, "real")
+    if bundle is not None and len(bundle.grams) == 2 and np.array_equal(Xr, Xr.T):
+        parts = bundle.grams
+    else:
+        # the condition's weighted sum next to the Grams holds less than a Sym block's products
+        require_dense_budget(n, len(As), gram_parts_peak(n, len(As), True, bundle=False))
+        Xinv = linalg.inverse(Xr)
+        B = tuple((Ai.T @ Xinv).T for Ai in As)
+        inverses = tuple(linalg.inverse(M) for M in real_form_blocks(B, n))  # I + sum(kron(C_i, C_i))
+        parts = gram_parts(inverses, B, n, bundle=False)[0]
+        del inverses
+    (G_sym, c_sym), (G_anti, c_anti) = parts
+    return _condition(instance, Xr, ((G_sym, c_sym), (G_anti[:1], c_anti[:1])), mode, "real")
 
 
 def _is_real_instance(instance: EquationInstance) -> bool:

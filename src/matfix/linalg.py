@@ -27,6 +27,7 @@ from .errors import EigenSolverError, SingularMatrix
 Array = np.ndarray
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def as_matrix(a, *, name: str = "matrix") -> Array:
@@ -47,31 +48,73 @@ def spectral_norm(M: Array):
     Returns 0 for an empty or all-zero M; raises :class:`EigenSolverError`
     if M has non-finite entries.
     """
+    norms = gram_norm(*scaled_gram(M))
+    return norms if np.ndim(M) > 2 else float(norms)
+
+
+def scaled_gram(M: Array, out: Array | None = None):
+    """(G, scale): the Gram matrix of the shorter side of M / scale, scale = max |M_jk|.
+
+    G is S S* if M has no more rows than columns, else S* S, for S = M /
+    scale; a zero M has scale 0 and is divided by 1.  On real input the
+    scale is max(max M, -min M), the largest entry modulus exactly, without
+    an |M| copy.  A stack (..., p, q) is scaled matrix by matrix, with the
+    arithmetic of a lone call.  ``out`` receives G.  Raises
+    :class:`EigenSolverError` if M has non-finite entries.
+    """
     M = np.asarray(M)
-    lead = M.shape[:-2]
-    if M.size == 0:
-        return np.zeros(lead) if lead else 0.0
-    scale = np.abs(M).max(axis=(-2, -1))
-    if not np.isfinite(scale).all():
+    axes = (-2, -1)
+    if np.iscomplexobj(M):
+        scale = np.maximum.reduce(np.abs(M), axis=axes, initial=0.0)
+    else:
+        scale = np.maximum(np.maximum.reduce(M, axis=axes, initial=0.0),
+                           -np.minimum.reduce(M, axis=axes, initial=0.0))
+    if not np.maximum.reduce(scale, axis=None) < np.inf:  # also false for NaN
         raise EigenSolverError(
             f"spectral norm of a {M.shape[-2:]} matrix with non-finite entries"
         )
-    S = M / np.where(scale == 0.0, 1.0, scale)[..., None, None]  # a zero matrix norms to 0
+    S = M / (scale + (scale == 0.0))[..., None, None]  # a zero M is divided by 1
     St = S.conj().swapaxes(-1, -2)
-    G = S @ St if S.shape[-2] <= S.shape[-1] else St @ S
-    norms = np.sqrt(np.maximum(eig_extremes(G)[1], 0.0)) * scale
-    return norms if lead else float(norms)
+    G = np.matmul(S, St, out=out) if S.shape[-2] <= S.shape[-1] else np.matmul(St, S, out=out)
+    return G, scale
+
+
+def gram_norm(G: Array, scale):
+    """scale * sqrt(lambda_max(G)): the spectral norm of M from the (G, scale) of
+    :func:`scaled_gram`.  Stacks work as in :func:`eig_extremes`; an empty G gives 0."""
+    top = eig_extremes(G)[1] if G.shape[-1] else 0.0
+    return np.sqrt(np.maximum(top, 0.0)) * scale
+
+
+def _sum_of_squares(v: Array):
+    """Sum of squared moduli of v (..., 1, k) over its last axis: a dot product of
+    the real and of the imaginary parts, as ``np.linalg.norm`` forms it."""
+    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+    return sum((u @ u.swapaxes(-1, -2))[..., 0, 0] for u in parts)
 
 
 def frobenius_norm(M: Array):
     """Square root of the sum of squared entry moduli; a stack (..., p, q) gives
-    an array (...).  The sum is a dot product of the real and of the imaginary
-    parts, as ``np.linalg.norm`` forms it, so each norm is a lone call's."""
+    an array (...), each norm a lone call's.
+
+    A sum that overflows, or that falls below the normal range (its squares
+    lost digits to gradual underflow, or vanished), is recomputed on the
+    entries divided by their largest modulus.  Every other sum is kept bit
+    for bit: its rounding error is that of any sum of squares.
+    """
     M = np.asarray(M)
     v = M.reshape(*M.shape[:-2], 1, math.prod(M.shape[-2:]))
-    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
-    sq = sum((u @ u.swapaxes(-1, -2))[..., 0, 0] for u in parts)
-    return np.sqrt(sq) if M.ndim > 2 else float(np.sqrt(sq))
+    with np.errstate(over="ignore"):
+        sq = _sum_of_squares(v)
+    norms = np.sqrt(sq)
+    redo = ~((sq >= _TINY) & (sq < np.inf))
+    if redo.any():
+        redo &= v.any(axis=(-2, -1))  # an all-zero matrix sums to 0 exactly
+    if redo.any():  # an inf or NaN entry keeps its plain result: scale 1
+        scale = np.abs(v).max(axis=(-2, -1), initial=0.0)
+        scale = np.where(redo & (scale > 0.0) & (scale < np.inf), scale, 1.0)
+        norms = np.where(redo, np.sqrt(_sum_of_squares(v / scale[..., None, None])) * scale, norms)
+    return norms if M.ndim > 2 else float(norms)
 
 
 def eig_extremes(H: Array):
@@ -176,29 +219,6 @@ def complex_form(R: Array, n: int) -> Array:
     halves = C.view(float)
     halves *= 0.5
     return C.reshape(n * n, n * n)
-
-
-def real_block(M: Array, n: int) -> Array:
-    """Real matrix [Re T M, Im T M] for M with N = n^2 rows, T as in :func:`real_form`.
-
-    When M M* commutes with W -> W* (as P_i P_i* does, see
-    :mod:`matfix.operators`), T M M* T* is real and is the Gram matrix of
-    this block, so the block has the singular values of M.  T M =
-    ((1-i) M + (1+i) Pi M)/2, and Pi M permutes rows: no matmul.
-    """
-    M3 = np.asarray(M).reshape(n, n, -1)
-    a, b = M3.real, M3.imag
-    c, d = a.transpose(1, 0, 2), b.transpose(1, 0, 2)  # Re and Im of Pi M
-    out = np.empty((n, n, 2, M3.shape[-1]))
-    re, im = out[:, :, 0], out[:, :, 1]
-    np.add(a, b, out=re)
-    re += c
-    re -= d
-    np.subtract(b, a, out=im)
-    im += c
-    im += d
-    out *= 0.5
-    return out.reshape(n * n, -1)
 
 
 _SQRT2 = math.sqrt(2.0)

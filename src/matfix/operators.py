@@ -10,50 +10,38 @@ The operators P_i map Z to L^-1(B_i* Z + Z* B_i); their representations are
     P_i_rep = L_rep^-1 (kron(I, B_i*) + kron(B_i^T, I) Pi),
 
 with Pi the vec-permutation.  Neither Kronecker factor is formed as a
-matrix: both products with L_rep^-1 are batched n x n products on L_rep^-1
-reshaped to (n^2, n, n), O(n^5) instead of the O(n^6) of dense matmuls
-(see :func:`_structured_products`, shared with the condition numbers).
-L_rep and the P_i_rep are locals of :func:`build_bundle`, each dropped as
-soon as it is used; the bundle keeps B and L_rep^-1, its one dense array,
-which the condition numbers and the first-order change reuse.
+matrix: both products with L_rep^-1 are batched n x n products on rows of
+L_rep^-1 reshaped to (rows, n, n), O(n^5) instead of the O(n^6) of dense
+matmuls (:func:`_structured_products`).
 
-The dense work runs in real arithmetic.  On complex data, L commutes with
-W -> W*, so its real form R = T L_rep T* (:func:`matfix.linalg.real_form`)
-is a real matrix with the singular values of L_rep.  R is inverted as a
-float64 matrix, the extreme singular values are taken from R and R^-1, and
-L_rep^-1 = T* R^-1 T (:func:`matfix.linalg.complex_form`) commutes with
-W -> W* exactly.  With K_i the map Z -> B_i* Z + Z^T B_i, K_i K_i* maps W to
-B_i* B_i W + B_i* conj(B_i) W^T + W^T B_i^T B_i + W B_i* B_i, which commutes
-with W -> W*; so do L^-1 and L^-*, hence P_i P_i* does, and (T P_i)(T P_i)*
-= T P_i P_i* T* is real.  ||P_i|| is therefore the norm of the real
-n^2 x 2n^2 block [Re T P_i, Im T P_i] (:func:`matfix.linalg.real_block`),
-whose Gram matrix is a real symmetric eigenproblem.
-
-On real data (every B_i real) the work runs on blocks of half the order.
-(B^T W B)^T = B^T W^T B, so L maps symmetric W to symmetric and
-antisymmetric W to antisymmetric matrices.  Let U_s (N x s) and U_a (N x a)
-hold orthonormal bases of both as vec columns: vec(E_pp) and
-vec(E_pq + E_qp)/sqrt(2), and vec(E_pq - E_qp)/sqrt(2), p < q, with
-s = n(n+1)/2 and a = n(n-1)/2 (the duplication-matrix basis of Magnus and
-Neudecker; U_s^T kron(B, B) U_s is the symmetric Kronecker product of
-Alizadeh, Haeberly and Overton).  U = [U_s, U_a] is orthogonal and
+The dense work runs in real arithmetic, on the blocks of
+:func:`real_form_blocks`.  On complex data L commutes with W -> W*, so its
+real form R = T L_rep T* (:func:`matfix.linalg.real_form`) is a real matrix
+with the singular values of L_rep; L_rep^-1 = T* R^-1 T
+(:func:`matfix.linalg.complex_form`) commutes with W -> W* exactly.  On real
+data (every B_i real) L maps symmetric W to symmetric and antisymmetric W
+to antisymmetric matrices.  With U_s (N x s) and U_a (N x a) the
+orthonormal vec bases vec(E_pp), vec(E_pq + E_qp)/sqrt(2) and
+vec(E_pq - E_qp)/sqrt(2), p < q, s = n(n+1)/2 and a = n(n-1)/2 (the
+duplication-matrix basis of Magnus and Neudecker; U_s^T kron(B, B) U_s is
+the symmetric Kronecker product of Alizadeh, Haeberly and Overton),
+U = [U_s, U_a] is orthogonal and
 
     U^T L_rep U = diag(Ls, La),   Ls = U_s^T L_rep U_s,   La = U_a^T L_rep U_a,
 
-so ||L_rep|| = max(||Ls||, ||La||), L_rep^-1 = U diag(Ls^-1, La^-1) U^T
-and ||L_rep^-1|| = max(||Ls^-1||, ||La^-1||).  Both blocks are O(N^2)
-gathers of L_rep (:func:`matfix.linalg.sym_anti_blocks`); they are
-inverted and normed at orders s and a, about N/2, and L_rep^-1 is
-assembled from their inverses by an O(N^2) scatter
-(:func:`matfix.linalg.from_sym_anti_blocks`).  K_i(Z) = B_i^T Z + Z^T B_i is
-symmetric for every real Z, so U_a^T P_i = La^-1 U_a^T K_i = 0 and
-||P_i|| = ||U_s^T P_i||, the norm of the s x N rows (U_s^T L^-1) K_i, formed
-by the structured products on U_s^T L^-1 = Ls^-1 U_s^T
-(:func:`matfix.linalg.sym_anti_rows`), with an s x s Gram matrix.
+so the norms of L_rep and L_rep^-1 are the larger of the blocks' and of
+their inverses', and L_rep^-1 = U diag(Ls^-1, La^-1) U^T is assembled by
+an O(N^2) scatter (:func:`matfix.linalg.from_sym_anti_blocks`).
 
-The dense arrays alive at the peak are counted against
+:func:`gram_parts` forms each block of the condition row once, from one
+pair of structured products per B_i and part, and keeps its scaled Gram
+matrix; :mod:`matfix.conditioning` derives the blocks, why their Gram
+matrices give both condition numbers, and why n_i is the norm of the
+S-block.  The bundle keeps B, L_rep^-1 (for the first-order change) and
+those Grams.  The dense arrays alive at the peak are counted against
 :data:`DENSE_BUDGET_BYTES` before anything is allocated.  The scalar
-surrogates, all spectral norms from :func:`matfix.linalg.spectral_norm`:
+surrogates, all spectral norms from scaled Gram matrices
+(:func:`matfix.linalg.scaled_gram`):
 
 * ``l``        reciprocal of the spectral norm of L_rep.  It reproduces the
                published feasibility values.  It is not a lower bound on
@@ -61,7 +49,8 @@ surrogates, all spectral norms from :func:`matfix.linalg.spectral_norm`:
                Q=I, ||A_i||=3 (Gaussian, seed 3) l = 0.3527 while that
                singular value is 0.3303.  Whether xi3 and con5/con6 built on
                it are conservative is open (ROADMAP item 1).
-* ``n_ops[i]`` largest singular value of P_i_rep.
+* ``n_ops[i]`` largest singular value of P_i_rep, from the Gram matrix
+               G_S,i of the S-block of B_i.
 * ``theta_is`` spectral norms of the B_i; ``theta`` is the sum of squares.
 * ``zeta``     spectral norm of X^-1.
 """
@@ -85,16 +74,13 @@ DENSE_BUDGET_BYTES = 2**30  # dense n^2 x n^2 arrays one call may hold
 class OperatorBundle:
     B: tuple[Array, ...]
     L_inv: Array
+    grams: tuple[tuple[Array, Array], ...]  # per part, (G, c) of gram_parts
     l: float
     n_ops: tuple[float, ...]
     theta_is: tuple[float, ...]
     theta: float
     zeta: float
     norm_kind: str
-
-    @property
-    def m(self) -> int:
-        return len(self.B)
 
     @property
     def n(self) -> int:
@@ -114,18 +100,6 @@ def require_dense_budget(n: int, m: int, entries: int) -> None:
 def split_orders(n: int) -> tuple[int, int, int]:
     """(s, a, N): the orders n(n+1)/2 and n(n-1)/2 of the Sym and Anti blocks, and N = n^2."""
     return n * (n + 1) // 2, n * (n - 1) // 2, n * n
-
-
-def block_inverse_peak(n: int) -> int:
-    """float64 entries alive at the peak of forming and inverting Ls and La on real data.
-
-    L_rep and one Kronecker term; L_rep, Ls, La and two gathers of order a;
-    Ls, La, and a norm's scaled copy, Gram matrix and eigensolver copy of
-    Ls, or the inverse of Ls and the copy, right-hand side and result of
-    inverting La (LAPACK's copies included).
-    """
-    s, a, N = split_orders(n)
-    return max(2 * N * N, N * N + s * s + 3 * a * a, 4 * s * s + a * a, 2 * s * s + 4 * a * a)
 
 
 def l_representation(B: tuple[Array, ...], n: int) -> Array:
@@ -156,21 +130,86 @@ def _structured_products(L_inv: Array, B: Array) -> tuple[Array, Array]:
     )
 
 
-def _real_bundle_peak(n: int) -> int:
-    """float64 entries alive at the peak of :func:`build_bundle` on real data.
+def real_form_blocks(B: tuple[Array, ...], n: int) -> tuple[Array, ...]:
+    """The float64 blocks of L_rep: (R,), its real form, for complex B; (Ls, La) for real B."""
+    L = l_representation(B, n)
+    if L.dtype == np.float64:  # L_rep = U diag(Ls, La) U^T
+        return linalg.sym_anti_blocks(L, n)
+    return (linalg.real_form(L, n),)
 
-    Forming and inverting the blocks (:func:`block_inverse_peak`); the norms
-    of the inverses; for one P_i: Ls^-1, La^-1, the rows U_s^T L^-1, the two
-    structured products, then the sum's scaled copy, Gram matrix and
-    eigensolver copy; assembling L^-1: the blocks, L^-1, and the sum and
-    difference of La^-1 and the off-diagonal part of Ls^-1.
+
+def gram_parts(
+    inverses: tuple[Array, ...], B: tuple[Array, ...], n: int, bundle: bool = True
+) -> tuple[tuple[tuple[Array, Array], ...], Array | None]:
+    """Per part, the stack G of scaled Gram matrices of the condition row's blocks and their scales c.
+
+    ``inverses`` are those of :func:`real_form_blocks`.  A stack holds G_Q,
+    then G_S,1..m and G_D,1..m of the blocks that map into the part (module
+    docstring of :mod:`matfix.conditioning`): all three on complex data; on
+    real data G_Q and the G_S,i in Sym, G_Q and the G_D,i in Anti.  For a
+    ``bundle`` also returns L^-1: on complex data the rows T* R^-1 T the
+    blocks came from.  Otherwise (the real case's own Grams) the Anti part
+    is G_Q alone, and L^-1 is None.
     """
+    real, m = len(inverses) == 2, len(B)
+    parts, L_inv = [], None
+    for inv, anti in zip(inverses, (False, True)):
+        # runs of m blocks: S' and D' on complex data; S in Sym, and D in Anti for a bundle
+        runs = 2 if not real else int(not anti or bundle)
+        k, K = inv.shape[0], 1 + runs * m
+        G, c = np.empty((K, k, k)), np.empty(K)
+        c[0] = linalg.scaled_gram(inv, out=G[0])[1]
+        parts.append((G, c))
+        if K == 1:
+            continue
+        rows = linalg.sym_anti_rows(inv, n, anti) if real else linalg.complex_form(inv, n)
+        for i, Bi in enumerate(B):
+            M1, M2 = _structured_products(rows, Bi)
+            if real:  # U_s^T (M1 + M2) on the Sym rows, U_a^T (M1 - M2) on the Anti rows
+                blocks = ((np.subtract if anti else np.add)(M1, M2, out=M1),)
+            else:  # S' = u + v and D' = u - v, u = Re M1 + Im M2 and v = Im M1 + Re M2
+                re, im = M1.real, M1.imag
+                re += M2.imag
+                im += M2.real
+                np.add(re, im, out=M2.real)
+                np.subtract(re, im, out=M2.imag)
+                blocks = (M2.real, M2.imag)
+                del re, im
+            del M1, M2
+            c[1 + i :: m] = [linalg.scaled_gram(M, out=G[j])[1] for j, M in zip(range(1 + i, K, m), blocks)]
+            del blocks
+        if not real:
+            L_inv = rows
+        del rows
+    if real and bundle:
+        L_inv = linalg.from_sym_anti_blocks(*inverses, n)
+    return tuple(parts), L_inv
+
+
+def gram_parts_peak(n: int, m: int, real: bool, bundle: bool = True) -> int:
+    """float64 entries alive at the peak of forming the blocks of L_rep,
+    inverting them and :func:`gram_parts`: the dense work of :func:`build_bundle`.
+
+    Complex data, in n^4 units: L_rep and one complex term (4); R^-1, the
+    2m+1 Grams, the complex rows (2) and one B_i's two complex products
+    (4), more than R's norm or inverse.  Real data: L_rep and one term;
+    L_rep, Ls, La and two gathers of order a; Ls, La and a norm's scaled
+    copy, Gram and eigensolver copy of Ls, or Ls^-1 and LAPACK's copies,
+    right-hand side and result for La; Ls^-1, La^-1, the Grams so far and,
+    for one B_i, the lifted rows and two products; for a bundle, the
+    assembly of L^-1 next to them and two temporaries of order a.
+    """
+    if not real:
+        return (2 * m + 8) * n**4
     s, a, N = split_orders(n)
-    return max(block_inverse_peak(n), 3 * s * s + a * a + 3 * s * N, N * N + s * s + 3 * a * a)
+    sym, anti, inv = (1 + m) * s * s, (1 + m * bundle) * a * a, s * s + a * a
+    blocks = max(2 * N * N, N * N + s * s + 3 * a * a, 4 * s * s + a * a, 2 * s * s + 4 * a * a)
+    grams = max(inv + sym + 3 * s * N, inv + sym + anti + (3 * a * N if bundle else a * a))
+    return max(blocks, grams, inv + sym + anti + N * N + 2 * a * a if bundle else 0)
 
 
 def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
-    """Assemble operator representations and scalar surrogates at the solution X.
+    """Assemble L^-1, the condition row's Gram matrices and the scalar surrogates at X.
 
     X is expected to be the (near-)converged positive definite solution; a
     singular L representation signals that it is not, and raises
@@ -182,23 +221,20 @@ def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
     B = tuple(Xinv @ Ai for Ai in instance.A)
     real = not any(Bi.imag.any() for Bi in B)
     B = tuple(Bi.real.copy() if real else Bi for Bi in B)
-    # complex data: float64 n^2 x n^2 arrays alive at the peak, the norm of
-    # one P_i: L_inv, the real block of P_i, and the scaled copy, Gram
-    # matrix and eigensolver copy of spectral_norm, 2+2+2+1+1; every other
-    # step holds fewer, as each array is dropped once used
-    require_dense_budget(n, len(B), _real_bundle_peak(n) if real else 8 * n**4)
+    require_dense_budget(n, len(B), gram_parts_peak(n, len(B), real))
 
-    if real:  # L_rep = U diag(Ls, La) U^T
-        blocks = linalg.sym_anti_blocks(l_representation(B, n), n)
-    else:  # a complex L_rep is dropped here
-        blocks = (linalg.real_form(l_representation(B, n), n),)
+    blocks = real_form_blocks(B, n)
     s_max = max(linalg.spectral_norm(M) for M in blocks)
+    s_min = 0.0
     try:
         inverses = tuple(linalg.inverse(M) for M in blocks)
-        del blocks
-        s_min = 1.0 / max(linalg.spectral_norm(M) for M in inverses)
     except SingularMatrix:  # an inverse failed or is not finite
-        s_min = 0.0
+        pass
+    else:
+        del blocks
+        parts, L_inv = gram_parts(inverses, B, n)
+        del inverses
+        s_min = 1.0 / max(linalg.gram_norm(G[0], c[0]) for G, c in parts)
     if s_min <= n * n * np.finfo(float).eps * s_max:
         raise SingularOperator(
             f"L representation singular to working precision (s_min={s_min:.3e}); "
@@ -206,37 +242,21 @@ def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
         )
     # trace(L_rep) >= n^2 forces ||L_rep|| >= 1, so l <= 1 <= 1 + theta.
     l = 1.0 / s_max
-    if real:  # P_i's image is symmetric: its rows U_s^T P_i = (U_s^T L^-1) K_i carry its norm
-        rows = linalg.sym_anti_rows(inverses[0], n)
-    else:
-        L_inv = rows = linalg.complex_form(inverses[0], n)
-        del inverses
-
-    n_ops = []
-    for Bi in B:
-        P, M2 = _structured_products(rows, Bi)
-        P += M2  # P_i_rep, or its rows U_s^T P_i
-        del M2
-        if not real:
-            P = linalg.real_block(P, n)  # P_i P_i* commutes with W -> W*
-        n_ops.append(linalg.spectral_norm(P))
-        del P
-    del rows
-    if real:
-        L_inv = linalg.from_sym_anti_blocks(*inverses, n)
-        del inverses
+    G, c = parts[0]  # n_i = ||S-block of B_i||
+    n_ops = tuple(float(linalg.gram_norm(G[1 + i], c[1 + i])) for i in range(len(B)))
     theta_is = tuple(float(t) for t in linalg.spectral_norm(np.stack(B)))  # lone-call values
     theta = float(sum(t * t for t in theta_is))
     zeta = linalg.spectral_norm(Xinv)
     return OperatorBundle(
         B=B,
         L_inv=L_inv,
+        grams=parts,
         l=l,
-        n_ops=tuple(n_ops),
+        n_ops=n_ops,
         theta_is=theta_is,
         theta=theta,
         zeta=zeta,
         norm_kind="dense-exact: reciprocal spectral(real form of L), "
-        "spectral(P_i) via scaled Gram eigenvalue"
-        + (", float64 Sym/Anti blocks (real data)" if real else " of [Re T P_i, Im T P_i] (P_i P_i* commutes with W -> W*)"),
+        "spectral(P_i) from the scaled Gram of its S-block"
+        + (", float64 Sym/Anti blocks (real data)" if real else " Re S + Im S (T P_i is real)"),
     )

@@ -179,6 +179,13 @@ class TestCondReal:
         rep = cond_real(inst, np.array([[1.0]]), "absolute")
         assert rep.value == pytest.approx(1.0, abs=1e-14)
 
+    def test_no_coefficients(self):
+        # m = 0: X = Q and the condition number is rho ||L^-1|| / xi = 1
+        Q = np.diag([2.0, 3.0])
+        inst = EquationInstance(A=[], Q=Q)
+        for mode in ("absolute", "relative"):
+            assert cond_real(inst, Q, mode).value == pytest.approx(1.0, abs=1e-14)
+
     def test_scalar_block_assembly(self):
         # hand-built 1x1 blocks: S_r = 1/(1+b^2), U = 2b/(1+b^2)
         inst = EquationInstance(A=[np.array([[1.0]])], Q=np.array([[1.0]]))
@@ -317,6 +324,26 @@ class TestRealDataSplit:
         assert rep.value * rep.xi == pytest.approx(
             top_singular_value(complex_block_row(bundle, rep)), rel=1e-13
         )
+
+
+class TestScaleCovariance:
+    @pytest.mark.parametrize("s", [1e155, 1e-155, 1e170, 1e-170])
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_relative_conditions_are_scale_free(self, rng, s, complex_data):
+        # X(sA, sQ) = s X(A, Q), and relative condition numbers do not see s:
+        # the Frobenius weights of data at 1e155 overflow and at 1e-170
+        # underflow unless they are summed on scaled entries
+        inst = make_random_instance(rng, n=4, m=2, complex_data=complex_data)
+        X = solve_tight(inst)
+        X = X if complex_data else X.real
+        scaled = EquationInstance(A=[s * Ai for Ai in inst.A], Q=s * inst.Q)
+        bundle, scaled_bundle = build_bundle(inst, X), build_bundle(scaled, s * X)
+        assert cond_complex(scaled, s * X, scaled_bundle).value == pytest.approx(
+            cond_complex(inst, X, bundle).value, rel=1e-13)
+        if not complex_data:
+            for plain, big in ((bundle, scaled_bundle), (None, None)):
+                assert cond_real(scaled, s * X, bundle=big).value == pytest.approx(
+                    cond_real(inst, X, bundle=plain).value, rel=1e-13)
 
 
 class TestFdOracle:

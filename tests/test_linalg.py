@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,9 @@ from matfix.examples import BENCHMARK4_Q, tridiagonal_seed
 from matfix.linalg import (
     complex_form,
     from_sym_anti_blocks,
-    real_block,
+    gram_norm,
     real_form,
+    scaled_gram,
     sym_anti_blocks,
     sym_anti_rows,
 )
@@ -69,10 +72,49 @@ class TestSpectralNorm:
         M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         assert spectral_norm(s * M) == pytest.approx(s * spectral_norm(M), rel=1e-12)
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
     def test_non_finite_raises_named_error(self, bad):
         with pytest.raises(EigenSolverError, match="non-finite"):
             spectral_norm(np.array([[bad, 1.0], [0.0, 1.0]]))
+
+    def test_real_input_holds_scaled_copy_and_gram(self, rng):
+        # the scale of a real matrix is max(max M, -min M): no |M| copy, and
+        # nothing beyond the scaled copy and the Gram matrix is held (the
+        # eigensolver's working copy is allocated outside numpy's tracing)
+        M = rng.standard_normal((400, 400))
+        expected = spectral_norm(M)
+        tracemalloc.start()
+        try:
+            assert spectral_norm(M) == expected
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * M.nbytes + 2**11
+
+
+class TestScaledGram:
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4), (2, 3, 5)])
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_scale_is_largest_modulus_and_gram_of_shorter_side(self, rng, shape, complex_data):
+        M = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_data else 0)
+        G, scale = scaled_gram(M)
+        assert np.array_equal(scale, np.abs(M).max(axis=(-2, -1)))
+        S = M / scale[..., None, None] if M.ndim > 2 else M / scale
+        St = S.conj().swapaxes(-1, -2)
+        reference = S @ St if shape[-2] <= shape[-1] else St @ S
+        assert np.abs(G - reference).max() <= 1e-15 * np.abs(reference).max()
+        assert np.array_equal(gram_norm(G, scale), spectral_norm(M))
+
+    def test_out_receives_the_gram_and_zero_is_divided_by_one(self, rng):
+        M = rng.standard_normal((3, 6))
+        out = np.empty((3, 3))
+        G, scale = scaled_gram(M, out=out)
+        assert G is out and np.array_equal(out, scaled_gram(M)[0])
+        G, scale = scaled_gram(np.zeros((2, 4)))
+        assert scale == 0.0 and np.array_equal(G, np.zeros((2, 2)))
+
+    def test_empty_gram_norms_to_zero(self):
+        assert gram_norm(np.zeros((0, 0)), 1.0) == 0.0
 
 
 class TestFrobeniusNorm:
@@ -84,6 +126,22 @@ class TestFrobeniusNorm:
 
     def test_all_ones(self):
         assert frobenius_norm(np.ones((2, 2))) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("s", [1e155, 1e170, 1e300, 1e-155, 1e-160, 1e-170, 1e-300])
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_scale_covariance_at_extreme_scales(self, rng, s, complex_data):
+        # squares of 1e155 entries overflow; those of 1e-160 entries are
+        # subnormal and of 1e-170 entries vanish, unless the sum is redone
+        # on scaled entries
+        M = rng.standard_normal((4, 5)) + (1j * rng.standard_normal((4, 5)) if complex_data else 0)
+        assert frobenius_norm(s * M) == pytest.approx(s * frobenius_norm(M), rel=1e-14, abs=0.0)
+        stack = np.stack([s * M, M, np.zeros_like(M)])
+        assert frobenius_norm(stack).tolist() == [frobenius_norm(s * M), frobenius_norm(M), 0.0]
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entries_keep_the_plain_sum(self, bad):
+        got = frobenius_norm(np.array([[bad, 1.0], [0.0, 1.0]]))
+        assert np.isnan(got) if np.isnan(bad) else got == np.inf
 
 
 class TestEigExtremes:
@@ -228,15 +286,6 @@ class TestRealForm:
         assert np.abs(real_form(C, n) - R).max() <= 2 * np.finfo(float).eps * np.abs(R).max()
         # commutes with W -> W* by construction, not up to rounding
         assert np.array_equal(P @ C @ P, C.conj())
-
-    @pytest.mark.parametrize("n", range(1, 5))
-    def test_real_block_is_the_rotated_rows(self, rng, n):
-        N = n * n
-        M = rng.standard_normal((N, N + 1)) + 1j * rng.standard_normal((N, N + 1))
-        T = ((1 - 1j) * np.eye(N) + (1 + 1j) * vec_permutation(n)) / 2
-        W = real_block(M, n)
-        assert W.dtype == np.float64 and W.shape == (N, 2 * (N + 1))
-        assert np.abs(W - np.hstack([(T @ M).real, (T @ M).imag])).max() <= 1e-15 * np.abs(M).max()
 
 
 def sym_anti_bases(n):

@@ -20,8 +20,9 @@ from matfix import (
     vec,
     vec_permutation,
 )
+from matfix.conditioning import _sum_peak
 from matfix.linalg import apply_l, complex_form, real_form
-from matfix.operators import DENSE_BUDGET_BYTES, _structured_products, l_representation
+from matfix.operators import DENSE_BUDGET_BYTES, _structured_products, gram_parts_peak, l_representation
 from tests.conftest import make_random_instance, operator_matrix_by_basis, solve_tight
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -56,17 +57,25 @@ class TestBuildBundle:
         assert bundle.n_ops == (0.0,)
         assert bundle.theta == 0.0
 
-    def test_l_inv_is_the_only_dense_array(self, rng):
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_l_inv_and_grams_are_the_only_dense_arrays(self, rng, complex_data):
+        # one stack of Gram matrices per part: one part on complex data, the
+        # Sym and Anti parts on real data
         n = 3
-        inst = make_random_instance(rng, n=n, m=2)
-        bundle = build_bundle(inst, solve_tight(inst))
-        dense = []
-        for field in dataclasses.fields(bundle):
-            value = getattr(bundle, field.name)
-            for item in value if isinstance(value, tuple) else (value,):
-                if np.size(item) > n * n:
-                    dense.append(field.name)
-        assert dense == ["L_inv"]
+        inst = make_random_instance(rng, n=n, m=2, complex_data=complex_data)
+        X = solve_tight(inst)
+        bundle = build_bundle(inst, X if complex_data else X.real)
+
+        def leaves(value):
+            if isinstance(value, tuple):
+                for item in value:
+                    yield from leaves(item)
+            else:
+                yield value
+
+        dense = [field.name for field in dataclasses.fields(bundle)
+                 for item in leaves(getattr(bundle, field.name)) if np.size(item) > n * n]
+        assert dense == ["L_inv"] + ["grams"] * (1 if complex_data else 2)
 
     def test_scalar_golden_values(self):
         inst = EquationInstance(A=[np.array([[1.0]])], Q=np.array([[1.0]]))
@@ -294,12 +303,44 @@ class TestSymAntiSplit:
         assert shapes and max(max(shape) for shape in shapes) == n * (n + 1) // 2
 
 
+def mirror_lapack_copies(monkeypatch):
+    """Mirror LAPACK's working copies with traced arrays while each call runs.
+
+    np.linalg.inv copies the matrix and an identity right-hand side, and
+    np.linalg.eigvalsh the matrix, into buffers allocated outside
+    tracemalloc's view.  The dense counts include these copies at the
+    moment they exist, and so does the traced peak with this mirror.
+    """
+    for name, copies in (("inv", 2), ("eigvalsh", 1)):
+        original = getattr(np.linalg, name)
+
+        def mirrored(a, *args, _original=original, _copies=copies, **kwargs):
+            mirror = [np.empty_like(a) for _ in range(_copies)]  # noqa: F841 (held during the call)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, mirrored)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestDenseBudget:
+    # numpy's ufunc and fancy-indexing buffers (at most about 130 KiB) are
+    # not counted
+    SLACK = 2**17
+
     @pytest.mark.parametrize("call", ["build_bundle", "cond_real"])
     def test_refused_before_allocating(self, call):
         # n = 100: L_rep alone would be 0.8 GB in float64.  On real data the
-        # peak of build_bundle is the norm of one P_i's s x N symmetric-output
-        # rows, that of cond_real the norm of its s x (s + mN) Sym row
+        # peak of build_bundle is the assembly of L^-1, that of cond_real's
+        # own Grams a Sym-part block
         n = 100
         s, a, N = n * (n + 1) // 2, n * (n - 1) // 2, n * n
         inst = EquationInstance(A=[np.zeros((n, n))], Q=np.eye(n))
@@ -318,48 +359,44 @@ class TestDenseBudget:
         message = str(info.value)
         assert "n=100" in message and "m=1" in message
         assert str(DENSE_BUDGET_BYTES) in message
-        if call == "build_bundle":  # Ls^-1, La^-1, the rows U_s^T L^-1, P_i's rows, its norm
-            expected = s * s + a * a + 3 * s * N + 2 * s * s
-        else:  # Ls^-1, La^-1, the Sym row, the rows U_s^T L^-1 and the two products
-            expected = s * s + a * a + s * (s + N) + 3 * s * N
+        if call == "build_bundle":  # Ls^-1, La^-1, the 2(s^2 + a^2) Grams, L^-1, two order-a temporaries
+            expected = s * s + a * a + 2 * (s * s + a * a) + N * N + 2 * a * a
+        else:  # Ls^-1, La^-1, the 2 Sym Grams, the rows U_s^T L^-1 and the two products
+            expected = s * s + a * a + 2 * s * s + 3 * s * N
         assert f"{expected * 8} B" in message
 
     @pytest.mark.parametrize("complex_data", [False, True])
     def test_build_bundle_counts_its_peak(self, rng, monkeypatch, complex_data):
-        # float64 entries alive at the peak: 8 n^2 x n^2 arrays on complex
-        # data; on real data (s = n(n+1)/2) the norm of one P_i's rows
-        n = 12
+        # float64 entries alive at the peak, LAPACK's copies included: on
+        # complex data R^-1, the 2m+1 Grams, the complex rows (2) and one
+        # B_i's two complex products (4); on real data (s = n(n+1)/2) the
+        # assembly of L^-1 from Ls^-1 and La^-1 next to the (m+1)(s^2 + a^2) Grams
+        n, m = 12, 2
         s, a, N = n * (n + 1) // 2, n * (n - 1) // 2, n * n
-        inst = make_random_instance(rng, n=n, m=2, complex_data=complex_data)
+        inst = make_random_instance(rng, n=n, m=m, complex_data=complex_data)
         X = solve_tight(inst)
         X = X if complex_data else X.real
-        counted = (8 * N * N if complex_data else 3 * s * s + a * a + 3 * s * N) * 8
-        gram = (N if complex_data else s) ** 2 * 8
+        if complex_data:
+            counted = (2 * m + 8) * N * N * 8
+        else:
+            counted = ((m + 1) * (s * s + a * a) + s * s + a * a + N * N + 2 * a * a) * 8
         build_bundle(inst, X)  # builds the per-n index arrays outside the trace
+        mirror_lapack_copies(monkeypatch)
         monkeypatch.setattr("matfix.operators.DENSE_BUDGET_BYTES", counted)
-        tracemalloc.start()
-        try:
-            build_bundle(inst, X)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the traced peak misses the eigensolver's working copy of the Gram
-        # matrix (allocated outside numpy's tracing) and holds numpy's ufunc
-        # and indexing buffers
-        assert peak + gram <= counted + 2**17
+        _, peak = traced_peak(lambda: build_bundle(inst, X))
+        assert counted - 2**12 <= peak <= counted + self.SLACK
         monkeypatch.setattr("matfix.operators.DENSE_BUDGET_BYTES", counted - 1)
         with pytest.raises(OperatorTooLarge, match=f"need {counted} B"):
             build_bundle(inst, X)
 
-    def test_cond_complex_row_refused_before_allocating(self, rng, monkeypatch):
-        # the n^2 x n^2(2m+1) float64 row and spectral_norm's scaled copy,
-        # Gram matrix and eigensolver copy are counted before the row exists
+    def test_cond_complex_sum_refused_before_allocating(self, rng, monkeypatch):
+        # the weighted sum of Grams and its eigensolver copy are counted
+        # before the sum exists
         n, m = 10, 2
         inst = make_random_instance(rng, n=n, m=m)
         X = solve_tight(inst)
         bundle = build_bundle(inst, X)
-        row_bytes = (2 * m + 1) * n**4 * 8
-        counted = 2 * row_bytes + 2 * n**4 * 8
+        counted = 2 * n**4 * 8
         monkeypatch.setattr("matfix.operators.DENSE_BUDGET_BYTES", counted - 1)
         tracemalloc.start()
         try:
@@ -368,14 +405,15 @@ class TestDenseBudget:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < row_bytes // 4
+        assert peak < n**4 * 8 // 4
         assert f"need {counted} B" in str(info.value)
 
     @pytest.mark.parametrize("call", ["complex data", "real data", "real", "real own", "real raw"])
     def test_condition_counts_its_peak(self, rng, monkeypatch, call):
         # the count is every float64 entry alive at the peak of the call, on
-        # top of the bundle: the row, its scaled copy, Gram matrix and
-        # eigensolver copy, and on real data the blocks Ls^-1 and La^-1
+        # top of the bundle: the weighted sum of the largest part and its
+        # eigensolver copy; without a usable bundle, cond_real's own Grams:
+        # Ls^-1, La^-1, the m+1 Sym Grams and one block's rows and products
         n, m = 12, 2
         s, a, N = n * (n + 1) // 2, n * (n - 1) // 2, n * n
         inst = make_random_instance(rng, n=n, m=m, complex_data=call == "complex data")
@@ -387,12 +425,12 @@ class TestDenseBudget:
             X = X + 0.01 * (K - K.T)
         bundle = build_bundle(inst, X)
         if call == "complex data":
-            counted, gram = (4 * m + 4) * N * N, N * N
+            counted = 2 * N * N
+        elif call in ("real data", "real"):
+            counted = 2 * s * s
         else:
-            row = s * (s + m * N)
-            counted, gram = s * s + a * a + 2 * row + 2 * s * s, s * s
+            counted = s * s + a * a + (m + 1) * s * s + 3 * s * N
         counted *= 8
-        gram *= 8
 
         def run():
             if call in ("complex data", "real data"):
@@ -400,17 +438,31 @@ class TestDenseBudget:
             return cond_real(inst, X, bundle=bundle if call == "real" else None)
 
         expected = run().value
+        mirror_lapack_copies(monkeypatch)
         monkeypatch.setattr("matfix.operators.DENSE_BUDGET_BYTES", counted)
-        tracemalloc.start()
-        try:
-            assert run().value == expected
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak + gram <= counted + 2**17
+        value, peak = traced_peak(run)
+        assert value.value == expected
+        assert counted - 2**12 <= peak <= counted + self.SLACK
         monkeypatch.setattr("matfix.operators.DENSE_BUDGET_BYTES", counted - 1)
         with pytest.raises(OperatorTooLarge, match=f"need {counted} B"):
             run()
+
+    def test_analyze_admits_todays_sizes(self):
+        # from the counts alone, nothing allocated: for m=2 every dense call
+        # of analyze (build_bundle, then cond_complex or cond_real with the
+        # bundle) fits up to complex n=57 and real n=78
+        def largest(count):
+            n = 1
+            while count(n + 1) * 8 <= DENSE_BUDGET_BYTES:
+                n += 1
+            return n
+
+        complex_n = min(largest(lambda n: gram_parts_peak(n, 2, False)),
+                        largest(lambda n: _sum_peak(n * n)))
+        real_n = min(largest(lambda n: gram_parts_peak(n, 2, True)),
+                     largest(lambda n: _sum_peak(n * (n + 1) // 2)))
+        assert complex_n >= 57
+        assert real_n >= 78
 
     @pytest.mark.parametrize("complex_data", [False, True])
     def test_l_representation_holds_one_term(self, rng, complex_data):
@@ -432,6 +484,64 @@ class TestDenseBudget:
         for Bi in B:
             expected += np.kron(Bi.T, Bi.conj().T)
         assert np.array_equal(L, expected)
+
+
+class TestGramBundle:
+    """The bundle forms every block of the condition row once and keeps its Gram matrix."""
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_structured_products_once_per_block_and_part(self, rng, monkeypatch, complex_data):
+        # one pair of products per B_i and part (one part on complex data, Sym
+        # and Anti on real data) inside build_bundle; none in the condition numbers
+        n, m = 4, 2
+        inst = make_random_instance(rng, n=n, m=m, complex_data=complex_data)
+        X = solve_tight(inst)
+        X = X if complex_data else X.real
+        calls = []
+
+        def counting(rows, Bi):
+            calls.append(rows.shape)
+            return _structured_products(rows, Bi)
+
+        monkeypatch.setattr("matfix.operators._structured_products", counting)
+        monkeypatch.setattr("matfix.conditioning._structured_products", counting, raising=False)
+        bundle = build_bundle(inst, X)
+        assert len(calls) == m * (1 if complex_data else 2)
+        for mode in ("absolute", "relative"):
+            cond_complex(inst, X, bundle, mode)
+            if not complex_data:
+                cond_real(inst, X, mode, bundle=bundle)
+        assert len(calls) == m * (1 if complex_data else 2)
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_condition_holds_one_weighted_sum_per_part(self, rng, monkeypatch, complex_data):
+        # given a bundle, a condition number allocates the weighted sum of one
+        # part and the eigensolver's copy of it, nothing of the row's size
+        n = 12
+        k = n * n if complex_data else n * (n + 1) // 2
+        inst = make_random_instance(rng, n=n, m=2, complex_data=complex_data)
+        X = solve_tight(inst)
+        X = X if complex_data else X.real
+        bundle = build_bundle(inst, X)
+        calls = [lambda: cond_complex(inst, X, bundle)]
+        if not complex_data:
+            calls.append(lambda: cond_real(inst, X, bundle=bundle))
+        mirror_lapack_copies(monkeypatch)
+        for call in calls:
+            call()
+            _, peak = traced_peak(call)
+            assert peak <= 2 * k * k * 8 + 2**14
+
+    def test_n_ops_are_the_s_block_norms(self, rng):
+        # n_i = ||Re S + Im S||, S = P_i's representation: T P_i is real
+        n = 4
+        inst = make_random_instance(rng, n=n, m=2)
+        bundle = build_bundle(inst, solve_tight(inst))
+        T = ((1 - 1j) * np.eye(n * n) + (1 + 1j) * vec_permutation(n)) / 2
+        for Bi, n_i in zip(bundle.B, bundle.n_ops):
+            S = np.add(*_structured_products(bundle.L_inv, Bi))
+            assert np.abs((T @ S).imag).max() <= 1e-14 * np.abs(S).max()
+            assert n_i == pytest.approx(np.linalg.svd(S.real + S.imag, compute_uv=False)[0], rel=1e-13)
 
 
 class TestStructuredProducts:
