@@ -171,7 +171,7 @@ def cond_real(
         Xinv = linalg.inverse(Xr)
         B = tuple((Ai.T @ Xinv).T for Ai in As)
         inverses = tuple(linalg.inverse(M) for M in real_form_blocks(B, n))  # I + sum(kron(C_i, C_i))
-        parts = gram_parts(inverses, B, n, bundle=False)[0]
+        parts = gram_parts(inverses, B, n, bundle=False)
         del inverses
     (G_sym, c_sym), (G_anti, c_anti) = parts
     return _condition(instance, Xr, ((G_sym, c_sym), (G_anti[:1], c_anti[:1])), mode, "real")

@@ -1,4 +1,4 @@
-"""Dense complex matrix primitives: norms, eigen extremes, vec machinery.
+"""Dense complex matrix primitives: norms, eigen extremes, vec machinery, the L-solve.
 
 Conventions fixed project-wide:
 
@@ -154,13 +154,80 @@ def is_positive_definite(H: Array, tol: float | None = None):
 def apply_l(B, W: Array) -> Array:
     """W + sum(Bi* W Bi): the sensitivity operator L at X, with Bi = X^-1 Ai.
 
-    L is also the Jacobian of X - F(X), so this one routine is the matrix-free
-    action behind the solver's Newton steps.
+    L is also the Jacobian of X - F(X): :func:`solve_l` inverts this one action
+    for the solver's Newton steps and for the first-order change alike.
     """
     out = np.array(W, dtype=complex)
     for Bi in B:
         out += Bi.conj().T @ W @ Bi
     return out
+
+
+_GMRES_RESTART = 20  # Krylov basis size: (r + 1) n^2 float64 entries
+
+
+def solve_l(B, R: Array, rtol: float, max_matvecs: int) -> tuple[Array, bool]:
+    """E with E + sum(Bi* E Bi) = R for Hermitian R, by restarted GMRES on :func:`apply_l`.
+
+    GMRES (Saad & Schultz, SISC 7, 1986) runs in real arithmetic on n^2
+    numbers: E travels as M = Re(E) + Im(E), whose symmetric and
+    antisymmetric parts are Re(E) and Im(E), a map that keeps the trace inner
+    product.  Each product of L is carried as the map of its Hermitian part,
+    with exactly symmetric and antisymmetric halves, so every Krylov vector
+    keeps the split: E is Hermitian by storage, and real for real B and R.
+    Returns E and whether the residual estimate met ``rtol * ||R||`` within
+    ``max_matvecs`` products of L (a restart's explicit residual counts as
+    one); a zero R gives E = 0, solved, without a product.
+    """
+
+    def hermitian(v: Array) -> Array:
+        M = v.reshape(R.shape)
+        E = 0.5j * (M - M.T)
+        E.real = (M + M.T) / 2
+        return E
+
+    def apply(v: Array) -> Array:  # Re + Im of the Hermitian part of L(E)
+        W = apply_l(B, hermitian(v))
+        return (0.5 * (W.real + W.imag + (W.real - W.imag).T)).ravel()
+
+    b = (R.real + R.imag).ravel()
+    if not b.any():
+        return np.zeros(R.shape, dtype=complex), True
+    r = _GMRES_RESTART
+    V = np.empty((r + 1, b.size))
+    H = np.empty((r + 1, r))
+    cs, sn, g = np.empty(r), np.empty(r), np.empty(r + 1)
+    x = np.zeros(b.size)
+    target = rtol * np.linalg.norm(b)
+    res, matvecs = b, 0
+    while True:
+        g[0] = np.linalg.norm(res)
+        V[0] = res / g[0]
+        H[:] = 0.0
+        for j in range(r):
+            w = apply(V[j])
+            matvecs += 1
+            for _ in range(2):  # classical Gram-Schmidt, applied twice
+                h = V[: j + 1] @ w
+                w -= h @ V[: j + 1]
+                H[: j + 1, j] += h
+            h_next = np.linalg.norm(w)
+            for i in range(j):
+                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+            d = math.hypot(H[j, j], h_next)
+            cs[j], sn[j], H[j, j] = H[j, j] / d, h_next / d, d
+            g[j + 1], g[j] = -sn[j] * g[j], cs[j] * g[j]
+            done = abs(g[j + 1]) <= target
+            if done or matvecs >= max_matvecs:
+                break
+            V[j + 1] = w / h_next
+        k = j + 1
+        x += np.linalg.solve(H[:k, :k], g[:k]) @ V[:k]
+        if done or matvecs >= max_matvecs:
+            return hermitian(x), done
+        res = b - apply(x)
+        matvecs += 1
 
 
 def vec(M: Array) -> Array:
@@ -231,8 +298,8 @@ def _sym_anti_index(n: int) -> SimpleNamespace:
     The svec coordinates are the n diagonal entries, then the a = n(n-1)/2
     pairs p < q, row by row; the avec coordinates are the same pairs.
     Fields: ``d``, ``up``, ``low``, the vec indices of W[p, p], of W[p, q]
-    and of W[q, p] per pair (with column vectors ``d_c``, ``up_c``,
-    ``low_c``, so that gathers index by broadcasting); and per vec index of
+    and of W[q, p] per pair (with column vectors ``d_c`` and ``up_c``, so
+    that gathers index by broadcasting); and per vec index of
     W[i, j], ``pair`` and ``apair``, the svec and avec positions of {i, j}
     (avec 0 when i = j), ``asign``, the U_a entry sign(j - i)/sqrt(2), and
     ``weight``, the U_s entry (1 when i = j, else 1/sqrt(2)).
@@ -249,7 +316,7 @@ def _sym_anti_index(n: int) -> SimpleNamespace:
     weight = np.full((n, n), 1.0 / _SQRT2)
     np.fill_diagonal(weight, 1.0)
     index = SimpleNamespace(
-        d=d, d_c=d[:, None], up=up, up_c=up[:, None], low=low, low_c=low[:, None],
+        d=d, d_c=d[:, None], up=up, up_c=up[:, None], low=low,
         pair=pair.ravel(order="F"), apair=apair.ravel(order="F"),
         asign=asign.ravel(order="F"), weight=weight.ravel(order="F"),
     )
@@ -285,35 +352,12 @@ def sym_anti_blocks(M: Array, n: int) -> tuple[Array, Array]:
     return S, A
 
 
-def from_sym_anti_blocks(S: Array, A: Array, n: int) -> Array:
-    """U_s S U_s^T + U_a A U_a^T, the inverse of :func:`sym_anti_blocks`.
-
-    Off the diagonal, (W[p, q], W[k, l]) with p < q, k < l gets
-    (S + A)/2 at the pairs' entry, and so does (W[q, p], W[l, k]);
-    (W[p, q], W[l, k]) and (W[q, p], W[k, l]) get (S - A)/2.  A diagonal
-    W[p, p] pairs with S alone, weighted 1 or 1/sqrt(2).  Each block is
-    assigned into the result without an N x N temporary; S = I and A = I
-    give the identity exactly, and entries (r, c) and (Pi r, Pi c) are the
-    same number, so the result commutes with W -> W^T exactly.
-    """
-    ix = _sym_anti_index(n)
-    out = np.empty((n * n, n * n))
-    out[ix.d_c, ix.d] = S[:n, :n]
-    out[ix.d_c, ix.up] = out[ix.d_c, ix.low] = S[:n, n:] / _SQRT2
-    out[ix.up_c, ix.d] = out[ix.low_c, ix.d] = S[n:, :n] / _SQRT2
-    same, cross = S[n:, n:] + A, S[n:, n:] - A
-    same *= 0.5
-    cross *= 0.5
-    out[ix.up_c, ix.up] = out[ix.low_c, ix.low] = same
-    out[ix.up_c, ix.low] = out[ix.low_c, ix.up] = cross
-    return out
-
-
 def sym_anti_rows(M: Array, n: int, anti: bool = False) -> Array:
     """M U_s^T, or M U_a^T if ``anti``: rows over svec (avec) coordinates, read over vec.
 
-    For the blocks of L^-1 these are the rows U_s^T L^-1 and U_a^T L^-1
-    (:func:`from_sym_anti_blocks`); column gathers, no matmul.
+    For M = Ls^-1 (La^-1) these are the rows U_s^T L_rep^-1 (U_a^T L_rep^-1),
+    since L_rep^-1 = U_s Ls^-1 U_s^T + U_a La^-1 U_a^T on real data: the
+    weights and signs of U_s^T (U_a^T) applied by one column gather, no matmul.
     """
     if not M.size:
         return np.zeros((0, n * n))

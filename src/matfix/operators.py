@@ -30,18 +30,18 @@ U = [U_s, U_a] is orthogonal and
     U^T L_rep U = diag(Ls, La),   Ls = U_s^T L_rep U_s,   La = U_a^T L_rep U_a,
 
 so the norms of L_rep and L_rep^-1 are the larger of the blocks' and of
-their inverses', and L_rep^-1 = U diag(Ls^-1, La^-1) U^T is assembled by
-an O(N^2) scatter (:func:`matfix.linalg.from_sym_anti_blocks`).
+their inverses'.
 
 :func:`gram_parts` forms each block of the condition row once, from one
 pair of structured products per B_i and part, and keeps its scaled Gram
 matrix; :mod:`matfix.conditioning` derives the blocks, why their Gram
 matrices give both condition numbers, and why n_i is the norm of the
-S-block.  The bundle keeps B, L_rep^-1 (for the first-order change) and
-those Grams.  The dense arrays alive at the peak are counted against
-:data:`DENSE_BUDGET_BYTES` before anything is allocated.  The scalar
-surrogates, all spectral norms from scaled Gram matrices
-(:func:`matfix.linalg.scaled_gram`):
+S-block.  The dense arrays alive at the peak are counted against
+:data:`DENSE_BUDGET_BYTES` before anything is allocated.
+:class:`OperatorBundle` holds ``B`` (float64 on real data), ``grams`` (per
+part, the (G, c) of :func:`gram_parts`), ``norm_kind`` (the path behind the
+norms) and the scalar surrogates, all spectral norms from scaled Gram
+matrices (:func:`matfix.linalg.scaled_gram`):
 
 * ``l``        reciprocal of the spectral norm of L_rep.  It reproduces the
                published feasibility values.  It is not a lower bound on
@@ -73,7 +73,6 @@ DENSE_BUDGET_BYTES = 2**30  # dense n^2 x n^2 arrays one call may hold
 @dataclass(frozen=True)
 class OperatorBundle:
     B: tuple[Array, ...]
-    L_inv: Array
     grams: tuple[tuple[Array, Array], ...]  # per part, (G, c) of gram_parts
     l: float
     n_ops: tuple[float, ...]
@@ -84,7 +83,7 @@ class OperatorBundle:
 
     @property
     def n(self) -> int:
-        return int(np.sqrt(self.L_inv.shape[0]))
+        return self.B[0].shape[0]
 
 
 def require_dense_budget(n: int, m: int, entries: int) -> None:
@@ -140,19 +139,20 @@ def real_form_blocks(B: tuple[Array, ...], n: int) -> tuple[Array, ...]:
 
 def gram_parts(
     inverses: tuple[Array, ...], B: tuple[Array, ...], n: int, bundle: bool = True
-) -> tuple[tuple[tuple[Array, Array], ...], Array | None]:
+) -> tuple[tuple[Array, Array], ...]:
     """Per part, the stack G of scaled Gram matrices of the condition row's blocks and their scales c.
 
     ``inverses`` are those of :func:`real_form_blocks`.  A stack holds G_Q,
     then G_S,1..m and G_D,1..m of the blocks that map into the part (module
     docstring of :mod:`matfix.conditioning`): all three on complex data; on
-    real data G_Q and the G_S,i in Sym, G_Q and the G_D,i in Anti.  For a
-    ``bundle`` also returns L^-1: on complex data the rows T* R^-1 T the
-    blocks came from.  Otherwise (the real case's own Grams) the Anti part
-    is G_Q alone, and L^-1 is None.
+    real data G_Q and the G_S,i in Sym, G_Q and, for a ``bundle``, the G_D,i
+    in Anti (the real case's own Grams keep the Anti part's G_Q alone).  The
+    rows of L^-1 are dropped part by part: the first-order change uses the
+    L-solve (:func:`matfix.perturbation.first_order_delta`: tolerance 1e-14,
+    at most 1000 products of L, else :class:`SingularOperator`).
     """
     real, m = len(inverses) == 2, len(B)
-    parts, L_inv = [], None
+    parts = []
     for inv, anti in zip(inverses, (False, True)):
         # runs of m blocks: S' and D' on complex data; S in Sym, and D in Anti for a bundle
         runs = 2 if not real else int(not anti or bundle)
@@ -178,12 +178,8 @@ def gram_parts(
             del M1, M2
             c[1 + i :: m] = [linalg.scaled_gram(M, out=G[j])[1] for j, M in zip(range(1 + i, K, m), blocks)]
             del blocks
-        if not real:
-            L_inv = rows
         del rows
-    if real and bundle:
-        L_inv = linalg.from_sym_anti_blocks(*inverses, n)
-    return tuple(parts), L_inv
+    return tuple(parts)
 
 
 def gram_parts_peak(n: int, m: int, real: bool, bundle: bool = True) -> int:
@@ -196,8 +192,8 @@ def gram_parts_peak(n: int, m: int, real: bool, bundle: bool = True) -> int:
     L_rep, Ls, La and two gathers of order a; Ls, La and a norm's scaled
     copy, Gram and eigensolver copy of Ls, or Ls^-1 and LAPACK's copies,
     right-hand side and result for La; Ls^-1, La^-1, the Grams so far and,
-    for one B_i, the lifted rows and two products; for a bundle, the
-    assembly of L^-1 next to them and two temporaries of order a.
+    for one B_i, the lifted rows and two products.  No L^-1 is assembled:
+    the first-order change uses the L-solve (:func:`gram_parts`).
     """
     if not real:
         return (2 * m + 8) * n**4
@@ -205,11 +201,11 @@ def gram_parts_peak(n: int, m: int, real: bool, bundle: bool = True) -> int:
     sym, anti, inv = (1 + m) * s * s, (1 + m * bundle) * a * a, s * s + a * a
     blocks = max(2 * N * N, N * N + s * s + 3 * a * a, 4 * s * s + a * a, 2 * s * s + 4 * a * a)
     grams = max(inv + sym + 3 * s * N, inv + sym + anti + (3 * a * N if bundle else a * a))
-    return max(blocks, grams, inv + sym + anti + N * N + 2 * a * a if bundle else 0)
+    return max(blocks, grams)
 
 
 def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
-    """Assemble L^-1, the condition row's Gram matrices and the scalar surrogates at X.
+    """Form the condition row's Gram matrices and the scalar surrogates at X.
 
     X is expected to be the (near-)converged positive definite solution; a
     singular L representation signals that it is not, and raises
@@ -232,7 +228,7 @@ def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
         pass
     else:
         del blocks
-        parts, L_inv = gram_parts(inverses, B, n)
+        parts = gram_parts(inverses, B, n)
         del inverses
         s_min = 1.0 / max(linalg.gram_norm(G[0], c[0]) for G, c in parts)
     if s_min <= n * n * np.finfo(float).eps * s_max:
@@ -249,7 +245,6 @@ def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
     zeta = linalg.spectral_norm(Xinv)
     return OperatorBundle(
         B=B,
-        L_inv=L_inv,
         grams=parts,
         l=l,
         n_ops=n_ops,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .bounds import ScalarBounds
-from .errors import ConditionViolated, NonzeroDeltaQ
+from .errors import ConditionViolated, NonzeroDeltaQ, SingularOperator
 from .operators import OperatorBundle
 from .solver import EquationInstance
 
@@ -262,11 +262,32 @@ def feasibility_table(
     }
 
 
+FIRST_ORDER_RTOL = 1e-14  # first_order_delta's L-solve tolerance, and the backward error it accepts
+FIRST_ORDER_MATVECS = 1000  # cap on that L-solve's products of L
+
+
 def first_order_delta(bundle: OperatorBundle, spec: PerturbationSpec) -> Array:
-    """First-order solution change: unvec(L_rep^-1 vec(dQ + sum(B_i* dA_i + dA_i* B_i)))."""
-    n = spec.dQ.shape[0]
-    RHS = spec.dQ.astype(complex).copy()
+    """First-order solution change dX = L^-1(RHS), RHS = dQ + sum(B_i* dA_i + dA_i* B_i).
+
+    The L-solve :func:`matfix.linalg.solve_l` runs on the Hermitian part of
+    RHS to relative residual FIRST_ORDER_RTOL within FIRST_ORDER_MATVECS
+    products of L; dX is Hermitian by storage, and real on real data.  dX is
+    returned only if its normwise backward error ||RHS - L(dX)|| /
+    (||L|| ||dX|| + ||RHS||), with ||L|| = 1/l, is at most FIRST_ORDER_RTOL;
+    otherwise :class:`SingularOperator` reports it and the relative residual.
+    """
+    RHS = spec.dQ
     for Bi, Di in zip(bundle.B, spec.dA):
         RHS = RHS + Bi.conj().T @ Di + Di.conj().T @ Bi
-    v = bundle.L_inv @ linalg.vec(RHS)
-    return linalg.hermitian_part(linalg.unvec(v, n))
+    RHS = linalg.hermitian_part(RHS)
+    dX = linalg.solve_l(bundle.B, RHS, FIRST_ORDER_RTOL, FIRST_ORDER_MATVECS)[0]
+    residual = linalg.frobenius_norm(RHS - linalg.apply_l(bundle.B, dX))
+    rhs = linalg.frobenius_norm(RHS)
+    scale = rhs + linalg.frobenius_norm(dX) / bundle.l
+    if not residual <= FIRST_ORDER_RTOL * scale:
+        raise SingularOperator(
+            f"the first-order L-solve stopped at backward error {residual / scale:.3e} "
+            f"(relative residual {residual / rhs:.3e}), above {FIRST_ORDER_RTOL:.0e}, "
+            f"within {FIRST_ORDER_MATVECS} products of L"
+        )
+    return dX

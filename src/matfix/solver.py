@@ -16,7 +16,7 @@ term.  Q itself is certified at entry by the eigenvalue test of
 When the observed residual ratio shows slow contraction, :func:`solve`
 switches to inexact Newton steps.  The Jacobian of X - F(X) is the
 sensitivity operator L(E) = E + sum(Bi* E Bi), Bi = X^-1 Ai, applied
-matrix-free by :func:`linalg.apply_l` inside a restarted GMRES written in
+matrix-free by :func:`linalg.solve_l`, a restarted GMRES written in
 numpy.  Newton iterates pass the same Cholesky guard and must lower the
 residual; the monotone-Newton argument of Guo & Lancaster does not carry
 over to this minus equation, so Newton starts only inside its basin.
@@ -259,75 +259,6 @@ def _hermitian_norm(H: Array):
     return np.maximum(-lam_min, lam_max) if H.ndim > 2 else max(-lam_min, lam_max)
 
 
-_GMRES_RESTART = 20  # Krylov basis size: (r + 1) n^2 float64 entries
-
-
-def _gmres(apply, b: Array, rtol: float, max_matvecs: int) -> tuple[Array, bool]:
-    """Restarted GMRES for apply(x) = b on real arrays of any shape.
-
-    The basis is preallocated once and filled in place.  Stops when the
-    residual estimate is below ``rtol * ||b||`` or after ``max_matvecs``
-    products (a restart's explicit residual counts as one); returns the
-    iterate and whether the tolerance was met.
-    """
-    r = _GMRES_RESTART
-    V = np.empty((r + 1, b.size))
-    H = np.empty((r + 1, r))
-    cs, sn, g = np.empty(r), np.empty(r), np.empty(r + 1)
-    x = np.zeros(b.size)
-    target = rtol * np.linalg.norm(b)
-    res, matvecs = b.ravel(), 0
-    while True:
-        g[:] = 0.0
-        g[0] = np.linalg.norm(res)
-        V[0] = res / g[0]
-        H[:] = 0.0
-        for j in range(r):
-            w = apply(V[j].reshape(b.shape)).ravel()
-            matvecs += 1
-            for _ in range(2):  # classical Gram-Schmidt, applied twice
-                h = V[: j + 1] @ w
-                w -= h @ V[: j + 1]
-                H[: j + 1, j] += h
-            h_next = np.linalg.norm(w)
-            for i in range(j):
-                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
-                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
-            d = math.hypot(H[j, j], h_next)
-            cs[j], sn[j], H[j, j] = H[j, j] / d, h_next / d, d
-            g[j + 1], g[j] = -sn[j] * g[j], cs[j] * g[j]
-            done = abs(g[j + 1]) <= target
-            if done or matvecs >= max_matvecs:
-                break
-            V[j + 1] = w / h_next
-        k = j + 1
-        x += np.linalg.solve(H[:k, :k], g[:k]) @ V[:k]
-        if done or matvecs >= max_matvecs:
-            return x.reshape(b.shape), done
-        res = b.ravel() - apply(x.reshape(b.shape)).ravel()
-        matvecs += 1
-
-
-def _solve_l_hermitian(B, R: Array, rtol: float, max_matvecs: int) -> tuple[Array, bool]:
-    """GMRES for E + sum(Bi* E Bi) = R with R and E Hermitian.
-
-    A Hermitian E travels as the real matrix M = Re(E) + Im(E): the
-    symmetric part of M is Re(E) and its antisymmetric part is Im(E), and
-    the map keeps the trace inner product, so GMRES runs in real arithmetic
-    on n^2 numbers, and the E it returns is Hermitian by storage.
-    """
-
-    def hermitian(M: Array) -> Array:
-        return (M + M.T) / 2 + 0.5j * (M - M.T)
-
-    def apply(M: Array) -> Array:
-        W = linalg.apply_l(B, hermitian(M))
-        return W.real + W.imag
-
-    M, solved = _gmres(apply, R.real + R.imag, rtol, max_matvecs)
-    return hermitian(M), solved
-
-
 def _newton_step(
     X: Array, FX: Array, L: Array, G: Array, res: float, rate: float, tol: float
 ) -> tuple[Array, bool]:
@@ -347,7 +278,7 @@ def _newton_step(
     if rate < 1.0:
         cap = min(cap, math.ceil(math.log(max(eta * res, tol) / res) / math.log(rate)))
     Bs = tuple(B[:, i : i + n] for i in range(0, B.shape[1], n))
-    E, solved = _solve_l_hermitian(Bs, FX - X, eta, cap)
+    E, solved = linalg.solve_l(Bs, FX - X, eta, cap)
     return X + E, solved
 
 

@@ -145,7 +145,9 @@ class TestSolveCommand:
 
 def test_cli_solve_loads_no_scipy(tmp_path):
     # numpy is the only runtime dependency: a slow solve, which takes the
-    # Newton-GMRES finish, must not pull scipy in through a lazy import
+    # Newton-GMRES finish, and analyze, whose first-order change is the same
+    # L-solve, must not pull scipy in through a lazy import; each runs in a
+    # fresh interpreter
     script = """
 import json, sys
 import numpy as np
@@ -159,19 +161,25 @@ path = sys.argv[1]
 with open(path, "w") as fh:
     json.dump({"n": 8, "m": 2, "Q": {"re": np.eye(8).tolist()},
                "A": [{"re": a.real.tolist(), "im": a.imag.tolist()} for a in A]}, fh)
-code = matfix.cli.main(["solve", path, "--format", "structured"])
+argv = sys.argv[2:] or ["solve", path]
+code = matfix.cli.main(argv + ["--format", "structured"])
 print("SCIPY" if any(m == "scipy" or m.startswith("scipy.") for m in sys.modules) else "CLEAN", code)
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "slow.json")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    last = proc.stdout.strip().splitlines()[-1]
-    assert last == "CLEAN 0"
-    assert '"newton_steps": 0' not in proc.stdout
+    analyze = ["analyze", str(FIXTURES / "example2.json"), str(FIXTURES / "delta_j7.json"), "--case"]
+    for argv in ([], analyze + ["complex"], analyze + ["real"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "slow.json"), *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        last = proc.stdout.strip().splitlines()[-1]
+        assert last == "CLEAN 0", argv
+        if not argv:
+            assert '"newton_steps": 0' not in proc.stdout
+        else:
+            assert '"first_order"' in proc.stdout
 
 
 def test_parser_built_on_first_call_not_at_import():
@@ -247,6 +255,30 @@ class TestAnalyzeCommand:
         assert doc["report"]["xi3"]["relative_bound"] == 0.0
         assert all(v["passed"] for v in doc["report"]["feasibility"].values())
         assert doc["report"]["first_order"]["frobenius_norm"] == 0.0
+
+    def test_missed_l_solve_exits_through_singular_operator(self, capsys, tmp_path, monkeypatch):
+        # first_order_delta never returns an unconverged dX: one product of L
+        # is far from the tolerance, and analyze exits 2 with the named error
+        from matfix import EquationInstance, PerturbationSpec
+        from matfix.fileio import write_delta, write_instance
+
+        rng = np.random.default_rng(6)
+        A = []
+        for _ in range(2):
+            G = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+            A.append(3.0 * G / np.linalg.norm(G, 2))
+        write_instance(EquationInstance(A=A, Q=np.eye(6)), tmp_path / "inst.json")
+        H = rng.standard_normal((6, 6))
+        dA = [1e-6 * rng.standard_normal((6, 6)) for _ in range(2)]
+        spec = PerturbationSpec(dA=dA, dQ=1e-6 * (H + H.T))
+        write_delta(spec, 6, 2, tmp_path / "delta.json")
+        argv = ("analyze", str(tmp_path / "inst.json"), str(tmp_path / "delta.json"))
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 3), err
+        monkeypatch.setattr("matfix.perturbation.FIRST_ORDER_MATVECS", 1)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "SingularOperator" in err and "backward error" in err and "relative residual" in err
 
     def test_mismatched_dimensions_exit_1(self, capsys):
         code, _, err = run_cli(

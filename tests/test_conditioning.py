@@ -58,7 +58,7 @@ class TestInverseReuse:
 
     def test_cond_real_reuses_a_real_bundle(self, rng, monkeypatch):
         # at an exactly symmetric X the float64 bundle holds the real case's
-        # B and L^-1; the value moves by rounding only
+        # B and Grams; the value moves by rounding only
         inst = real_instance(rng, n=3, m=2)
         X = solve_tight(inst).real
         bundle = build_bundle(inst, X)
@@ -78,7 +78,7 @@ class TestInverseReuse:
         X = solve(inst, SolveSettings(tol=1e-12), allow_nonhermitian=True).X.real
         assert not np.array_equal(X, X.T)
         bundle = build_bundle(inst, X)
-        assert bundle.L_inv.dtype == np.float64
+        assert all(Bi.dtype == np.float64 for Bi in bundle.B)
         assert cond_real(inst, X, "relative", bundle=bundle) == cond_real(inst, X, "relative")
 
 

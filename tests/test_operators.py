@@ -51,16 +51,20 @@ class TestBuildBundle:
     def test_zero_coefficients(self):
         inst = EquationInstance(A=[np.zeros((3, 3))], Q=np.diag([2.0, 3.0, 4.0]))
         bundle = build_bundle(inst, inst.Q)
-        assert np.array_equal(bundle.L_inv, np.eye(9))
+        L_inv = np.linalg.inv(l_representation(bundle.B, 3))
+        assert np.array_equal(L_inv, np.eye(9))
+        G_Q = bundle.grams[0][0][0]  # Ls^-1 Ls^-T on this real data
+        assert np.array_equal(G_Q, np.eye(6))
         assert bundle.l == pytest.approx(1.0)
-        assert all(np.allclose(np.add(*_structured_products(bundle.L_inv, Bi)), 0) for Bi in bundle.B)
+        assert all(np.allclose(np.add(*_structured_products(L_inv, Bi)), 0) for Bi in bundle.B)
         assert bundle.n_ops == (0.0,)
         assert bundle.theta == 0.0
 
     @pytest.mark.parametrize("complex_data", [False, True])
-    def test_l_inv_and_grams_are_the_only_dense_arrays(self, rng, complex_data):
+    def test_grams_are_the_only_dense_arrays(self, rng, complex_data):
         # one stack of Gram matrices per part: one part on complex data, the
-        # Sym and Anti parts on real data
+        # Sym and Anti parts on real data; no L^-1, which the first-order
+        # change applies matrix-free
         n = 3
         inst = make_random_instance(rng, n=n, m=2, complex_data=complex_data)
         X = solve_tight(inst)
@@ -75,7 +79,7 @@ class TestBuildBundle:
 
         dense = [field.name for field in dataclasses.fields(bundle)
                  for item in leaves(getattr(bundle, field.name)) if np.size(item) > n * n]
-        assert dense == ["L_inv"] + ["grams"] * (1 if complex_data else 2)
+        assert dense == ["grams"] * (1 if complex_data else 2)
 
     def test_scalar_golden_values(self):
         inst = EquationInstance(A=[np.array([[1.0]])], Q=np.array([[1.0]]))
@@ -83,7 +87,8 @@ class TestBuildBundle:
         bundle = build_bundle(inst, np.array([[x]]))
         b = 1.0 / x
         assert bundle.B[0][0, 0].real == pytest.approx(b, abs=1e-12)
-        assert bundle.L_inv[0, 0].real == pytest.approx(1 / (1 + b * b), abs=1e-12)
+        L_inv = np.linalg.inv(l_representation(bundle.B, 1))
+        assert L_inv[0, 0].real == pytest.approx(1 / (1 + b * b), abs=1e-12)
         # l is the reciprocal spectral norm of the L representation
         assert bundle.l == pytest.approx(1.0 / (1 + b * b), abs=1e-12)
         assert bundle.n_ops[0] == pytest.approx(2 * b / (1 + b * b), abs=1e-12)
@@ -92,23 +97,29 @@ class TestBuildBundle:
         assert bundle.zeta == pytest.approx(1.0 / x, abs=1e-12)
 
     def test_l_action_identity(self, rng):
+        # the L-solve of first_order_delta (dA = 0) and the textbook L_rep^-1
+        # both undo the L action
         inst = make_random_instance(rng, n=3, m=2)
         X = solve_tight(inst)
         bundle = build_bundle(inst, X)
+        L_inv = np.linalg.inv(l_representation(bundle.B, 3))
         for _ in range(10):
             W = hermitian_part(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
             rhs = W + sum(Bi.conj().T @ W @ Bi for Bi in bundle.B)
-            assert np.abs(unvec(bundle.L_inv @ vec(rhs), 3) - W).max() < 1e-12
+            assert np.abs(unvec(L_inv @ vec(rhs), 3) - W).max() < 1e-12
+            spec = PerturbationSpec(dA=[np.zeros((3, 3))] * 2, dQ=rhs)
+            assert np.abs(first_order_delta(bundle, spec) - W).max() < 1e-12
 
     def test_p_action_against_independent_solve(self, rng):
         inst = make_random_instance(rng, n=3, m=2)
         X = solve_tight(inst)
         bundle = build_bundle(inst, X)
         M = operator_matrix_by_basis(bundle.B, 3)
+        L_inv = np.linalg.inv(l_representation(bundle.B, 3))
         for i in range(2):
             for _ in range(5):
                 Z = rng.standard_normal((3, 3))  # real argument: Z* = Z^T
-                P = np.add(*_structured_products(bundle.L_inv, bundle.B[i]))
+                P = np.add(*_structured_products(L_inv, bundle.B[i]))
                 got = unvec(P @ vec(Z), 3)
                 rhs = bundle.B[i].conj().T @ Z + Z.conj().T @ bundle.B[i]
                 V = unvec(np.linalg.solve(M, vec(rhs)), 3)
@@ -139,8 +150,9 @@ class TestBuildBundle:
         inst = make_random_instance(rng, n=3, m=2)
         X = solve_tight(inst)
         bundle = build_bundle(inst, X)
+        L_inv = np.linalg.inv(operator_matrix_by_basis(bundle.B, 3))
         for W in hermitian_basis(3):
-            img = unvec(bundle.L_inv @ vec(W), 3)
+            img = unvec(L_inv @ vec(W), 3)
             assert np.abs(img - img.conj().T).max() < 1e-13
 
     def test_singular_operator_detected(self):
@@ -222,8 +234,10 @@ class TestRealData:
         bundle = build_bundle(inst, X)
         dtype = np.complex128 if complex_data else np.float64
         assert all(Bi.dtype == dtype for Bi in bundle.B)
-        assert l_representation(bundle.B, n).dtype == bundle.L_inv.dtype == dtype
-        assert all(np.add(*_structured_products(bundle.L_inv, Bi)).dtype == dtype for Bi in bundle.B)
+        L_inv = np.linalg.inv(l_representation(bundle.B, n))
+        assert L_inv.dtype == dtype
+        assert all(np.add(*_structured_products(L_inv, Bi)).dtype == dtype for Bi in bundle.B)
+        assert all(G.dtype == c.dtype == np.float64 for G, c in bundle.grams)
         assert bundle.norm_kind.startswith("dense-exact")
         assert ("float64" in bundle.norm_kind) is not complex_data
 
@@ -262,9 +276,14 @@ class TestSymAntiSplit:
         eye, P = np.eye(n), vec_permutation(n)
         L = np.eye(n * n) + sum(np.kron(Bi.T, Bi.T) for Bi in B)
         L_inv = np.linalg.inv(L)
-        assert bundle.L_inv.dtype == np.float64
+        assert all(Bi.dtype == np.float64 for Bi in bundle.B)
         assert bundle.l == pytest.approx(1.0 / np.linalg.svd(L, compute_uv=False)[0], rel=1e-13)
-        assert np.abs(bundle.L_inv - L_inv).max() <= 1e-13 * np.abs(L_inv).max()
+        # the L-solve of the first-order change is real and matches L^-1
+        H = rng.standard_normal((n, n))
+        dX = first_order_delta(bundle, PerturbationSpec(dA=np.zeros((m, n, n)), dQ=H + H.T))
+        assert not dX.imag.any()
+        ref = unvec(L_inv @ vec(H + H.T), n)
+        assert np.abs(dX - ref).max() <= 1e-13 * np.abs(ref).max()
         for Bi, n_i in zip(B, bundle.n_ops):
             Pi = L_inv @ (np.kron(eye, Bi.T) + np.kron(Bi.T, eye) @ P)
             assert n_i == pytest.approx(np.linalg.svd(Pi, compute_uv=False)[0], rel=1e-13)
@@ -274,7 +293,10 @@ class TestSymAntiSplit:
     def test_zero_coefficients_give_the_identity_exactly(self, n, m):
         inst = EquationInstance(A=[np.zeros((n, n))] * m, Q=np.diag(np.arange(1.0, n + 1)))
         bundle = build_bundle(inst, inst.Q)
-        assert np.array_equal(bundle.L_inv, np.eye(n * n))
+        assert np.array_equal(np.linalg.inv(l_representation(bundle.B, n)), np.eye(n * n))
+        # the Sym and Anti parts' G_Q: Ls^-1 and La^-1 are identities (La empty at n = 1)
+        assert all(np.array_equal(G[0], np.eye(G.shape[-1])) for G, _ in bundle.grams)
+        assert [c[0] for _, c in bundle.grams] == [1.0, float(n > 1)]
         assert bundle.l == 1.0
         assert bundle.n_ops == (0.0,) * m
 
@@ -339,8 +361,8 @@ class TestDenseBudget:
     @pytest.mark.parametrize("call", ["build_bundle", "cond_real"])
     def test_refused_before_allocating(self, call):
         # n = 100: L_rep alone would be 0.8 GB in float64.  On real data the
-        # peak of build_bundle is the assembly of L^-1, that of cond_real's
-        # own Grams a Sym-part block
+        # peak of build_bundle is an Anti-part block next to all Grams, that
+        # of cond_real's own Grams a Sym-part block
         n = 100
         s, a, N = n * (n + 1) // 2, n * (n - 1) // 2, n * n
         inst = EquationInstance(A=[np.zeros((n, n))], Q=np.eye(n))
@@ -359,8 +381,8 @@ class TestDenseBudget:
         message = str(info.value)
         assert "n=100" in message and "m=1" in message
         assert str(DENSE_BUDGET_BYTES) in message
-        if call == "build_bundle":  # Ls^-1, La^-1, the 2(s^2 + a^2) Grams, L^-1, two order-a temporaries
-            expected = s * s + a * a + 2 * (s * s + a * a) + N * N + 2 * a * a
+        if call == "build_bundle":  # Ls^-1, La^-1, 2(s^2 + a^2) Grams, the Anti rows and two products
+            expected = s * s + a * a + 2 * (s * s + a * a) + 3 * a * N
         else:  # Ls^-1, La^-1, the 2 Sym Grams, the rows U_s^T L^-1 and the two products
             expected = s * s + a * a + 2 * s * s + 3 * s * N
         assert f"{expected * 8} B" in message
@@ -369,9 +391,11 @@ class TestDenseBudget:
     def test_build_bundle_counts_its_peak(self, rng, monkeypatch, complex_data):
         # float64 entries alive at the peak, LAPACK's copies included: on
         # complex data R^-1, the 2m+1 Grams, the complex rows (2) and one
-        # B_i's two complex products (4); on real data (s = n(n+1)/2) the
-        # assembly of L^-1 from Ls^-1 and La^-1 next to the (m+1)(s^2 + a^2) Grams
-        n, m = 12, 2
+        # B_i's two complex products (4); on real data (s = n(n+1)/2,
+        # a = n(n-1)/2) Ls^-1, La^-1, the (m+1)(s^2 + a^2) Grams and, for the
+        # last B_i, the Anti rows U_a^T L^-1 and two products.  Real data
+        # runs at n = 16, where numpy's fancy-index buffers saturate
+        n, m = (12 if complex_data else 16), 2
         s, a, N = n * (n + 1) // 2, n * (n - 1) // 2, n * n
         inst = make_random_instance(rng, n=n, m=m, complex_data=complex_data)
         X = solve_tight(inst)
@@ -379,7 +403,7 @@ class TestDenseBudget:
         if complex_data:
             counted = (2 * m + 8) * N * N * 8
         else:
-            counted = ((m + 1) * (s * s + a * a) + s * s + a * a + N * N + 2 * a * a) * 8
+            counted = ((m + 1) * (s * s + a * a) + s * s + a * a + 3 * a * N) * 8
         build_bundle(inst, X)  # builds the per-n index arrays outside the trace
         mirror_lapack_copies(monkeypatch)
         monkeypatch.setattr("matfix.operators.DENSE_BUDGET_BYTES", counted)
@@ -538,8 +562,9 @@ class TestGramBundle:
         inst = make_random_instance(rng, n=n, m=2)
         bundle = build_bundle(inst, solve_tight(inst))
         T = ((1 - 1j) * np.eye(n * n) + (1 + 1j) * vec_permutation(n)) / 2
+        L_inv = np.linalg.inv(l_representation(bundle.B, n))
         for Bi, n_i in zip(bundle.B, bundle.n_ops):
-            S = np.add(*_structured_products(bundle.L_inv, Bi))
+            S = np.add(*_structured_products(L_inv, Bi))
             assert np.abs((T @ S).imag).max() <= 1e-14 * np.abs(S).max()
             assert n_i == pytest.approx(np.linalg.svd(S.real + S.imag, compute_uv=False)[0], rel=1e-13)
 
@@ -565,26 +590,27 @@ class TestStructuredProducts:
         L_inv = inverse(operator_matrix_by_basis(bundle.B, 4))
         eye, P = np.eye(4), vec_permutation(4)
         for Bi in bundle.B:
-            Pi = np.add(*_structured_products(bundle.L_inv, Bi))
+            Pi = np.add(*_structured_products(L_inv, Bi))
             dense = L_inv @ (np.kron(eye, Bi.conj().T) + np.kron(Bi.T, eye) @ P)
             assert np.abs(Pi - dense).max() < 1e-13
 
     def test_l_inv_is_inverse_of_l_rep(self, rng):
-        # L_inv is T* R^-1 T for R the real form of L_rep: one float64 inverse
+        # the rows of gram_parts on complex data, T* R^-1 T for R the real
+        # form of L_rep: one float64 inverse
         inst = make_random_instance(rng, n=4, m=2)
         bundle = build_bundle(inst, solve_tight(inst))
-        assert bundle.L_inv.shape == (16, 16)
         L_rep = l_representation(bundle.B, 4)
-        assert np.array_equal(bundle.L_inv, complex_form(inverse(real_form(L_rep, 4)), 4))
-        assert np.abs(bundle.L_inv @ L_rep - np.eye(16)).max() <= 1e-13
+        L_inv = complex_form(inverse(real_form(L_rep, 4)), 4)
+        assert L_inv.shape == (16, 16)
+        assert np.abs(L_inv @ L_rep - np.eye(16)).max() <= 1e-13
         P = vec_permutation(4)
-        assert np.array_equal(P @ bundle.L_inv @ P, bundle.L_inv.conj())
+        assert np.array_equal(P @ L_inv @ P, L_inv.conj())
         assert bundle.n == 4
 
 
 class TestOperatorHelpers:
     def test_apply_and_solve_roundtrip(self, rng):
-        # first_order_delta with dA = 0 solves L(V) = dQ through the bundle's L^-1
+        # first_order_delta with dA = 0 solves L(V) = dQ by the L-solve
         inst = make_random_instance(rng, n=4, m=2)
         X = solve_tight(inst)
         bundle = build_bundle(inst, X)

@@ -313,6 +313,37 @@ class TestFirstOrderDelta:
         dX = first_order_delta(bundle, spec)
         assert np.array_equal(dX, dX.conj().T)
 
+    @pytest.mark.parametrize("complex_data", [False, True])
+    @pytest.mark.parametrize("norm", [0.3, 3.0, 30.0])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_l_solve_residual(self, n, m, norm, complex_data):
+        # dX solves L(dX) = RHS: the residual is recomputed on the np.kron-built
+        # L_rep.  m = 1, ||A_i|| = 30 has cond(L) up to 3e5 here
+        rng = np.random.default_rng([n, m, int(10 * norm), complex_data])
+
+        def rand():
+            G = rng.standard_normal((n, n))
+            return G + 1j * rng.standard_normal((n, n)) if complex_data else G
+
+        A = [norm * G / np.linalg.norm(G, 2) for G in (rand() for _ in range(m))]
+        C = rand()
+        inst = EquationInstance(A=A, Q=hermitian_part(C @ C.conj().T / n + np.eye(n)))
+        X = solve_tight(inst, tol=1e-13 * max(1.0, norm * norm))
+        X = X if complex_data else X.real
+        bundle = build_bundle(inst, X)
+        H = rand()
+        spec = PerturbationSpec(dA=[rand() for _ in range(m)], dQ=H + H.conj().T)
+        dX = first_order_delta(bundle, spec)
+        B = [np.linalg.inv(X) @ Ai for Ai in A]
+        L = np.eye(n * n) + sum(np.kron(Bi.T, Bi.conj().T) for Bi in B)
+        rhs = vec(spec.dQ + sum(Bi.conj().T @ D + D.conj().T @ Bi for Bi, D in zip(B, spec.dA)))
+        residual = np.linalg.norm(L @ vec(dX) - rhs)
+        assert residual <= 1e-13 * np.linalg.norm(rhs)
+        # the normwise backward error first_order_delta accepts
+        assert residual <= 1e-14 * (np.linalg.norm(L, 2) * np.linalg.norm(dX) + np.linalg.norm(rhs))
+        assert complex_data or not dX.imag.any()
+
 
 class TestDominationSweep:
     def test_bounds_dominate_true_error(self, rng):

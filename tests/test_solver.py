@@ -362,7 +362,7 @@ class TestNewtonGmres:
         B = _random_b(rng, n, m, complex_data)
         R = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_data else 0)
         R = linalg.hermitian_part(R + R.conj().T)
-        E, solved = solver_module._solve_l_hermitian(B, R, 1e-13, 10_000)
+        E, solved = linalg.solve_l(B, R, 1e-13, 10_000)
         assert solved
         assert linalg.is_exactly_hermitian(E)
         ref = linalg.unvec(np.linalg.solve(l_representation(B, n), linalg.vec(R)), n)
@@ -373,9 +373,9 @@ class TestNewtonGmres:
         n = 6
         B = _random_b(rng, n, 1, True, norm=0.99)
         R = linalg.hermitian_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        E, solved = solver_module._solve_l_hermitian(B, R, 1e-13, 10_000)
+        E, solved = linalg.solve_l(B, R, 1e-13, 10_000)
         assert solved
-        assert len(count_l_actions) > solver_module._GMRES_RESTART + 1  # restarted
+        assert len(count_l_actions) > linalg._GMRES_RESTART + 1  # restarted
         ref = linalg.unvec(np.linalg.solve(l_representation(B, n), linalg.vec(R)), n)
         assert np.abs(E - ref).max() <= 1e-11 * np.abs(ref).max()
 
@@ -383,9 +383,19 @@ class TestNewtonGmres:
         rng = np.random.default_rng(8)
         B = _random_b(rng, 6, 2, True, norm=0.95)
         R = linalg.hermitian_part(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-        _, solved = solver_module._solve_l_hermitian(B, R, 1e-13, 5)
+        _, solved = linalg.solve_l(B, R, 1e-13, 5)
         assert not solved
         assert len(count_l_actions) == 5
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("complex_data", [False, True])
+    def test_zero_right_hand_side_is_exact(self, count_l_actions, complex_data):
+        # a zero R has the zero solution: no product of L, no 0/0
+        B = _random_b(np.random.default_rng(9), 4, 2, complex_data)
+        E, solved = linalg.solve_l(B, np.zeros((4, 4), dtype=complex), 1e-14, 100)
+        assert solved
+        assert np.array_equal(E, np.zeros((4, 4))) and not np.signbit(E.view(float)).any()
+        assert count_l_actions == []
 
 
 GRID = [(n, m, a) for n in (6, 16, 48) for m in (1, 2, 3) for a in (0.3, 3.0, 30.0)]
