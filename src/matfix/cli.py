@@ -191,10 +191,12 @@ def _cmd_solve(args) -> tuple[dict, list[str], int]:
         coarse = coarse_interval(instance)
         refined = refined_interval(instance, sb)
         scal = scalar_interval(instance, sb)
-        slack = max(
-            default_membership_tolerance(coarse),
-            10.0 * max(report.residual_norm, settings.tol),
-        )
+        slack = 10.0 * max(report.residual_norm, settings.tol)
+        # the default slack n eps ||upper||_2 wins the max only if n eps ||upper||_F,
+        # its bound, does too (1% over it covers the rounding of both norms);
+        # only then is its eigensolve worth making
+        if 1.01 * instance.n * np.finfo(float).eps * linalg.frobenius_norm(coarse.upper) > slack:
+            slack = max(default_membership_tolerance(coarse), slack)
         members = {
             "coarse": membership(report.X, coarse, slack),
             "refined": membership(report.X, refined, slack),

@@ -1,4 +1,5 @@
-"""Dense complex matrix primitives: norms, eigen extremes, vec machinery, the L-solve.
+"""Dense complex matrix primitives: norms, eigen extremes, PSD certificates,
+triangular solves, vec machinery, the L-solve.
 
 Conventions fixed project-wide:
 
@@ -12,6 +13,11 @@ Conventions fixed project-wide:
   The Frobenius norm is the entrywise 2-norm.
 * Hermitian matrices are kept exactly conjugate-symmetric by mirroring the
   lower triangle (see :func:`hermitian_part`), never by trusting rounding.
+* A yes/no positive definiteness verdict on a computed matrix, such as an
+  interval membership, is a Cholesky certificate with a rounding margin
+  (:func:`certify_psd`), never an eigenvalue estimate.  Only the entry test
+  of data, :func:`is_positive_definite`, reads eigenvalues: its threshold
+  is relative to lambda_max.
 """
 
 from __future__ import annotations
@@ -151,6 +157,99 @@ def is_positive_definite(H: Array, tol: float | None = None):
     return verdict if H.ndim > 2 else bool(verdict)
 
 
+def certify_psd(H: Array, shift: float) -> bool:
+    """True only if H + shift I is positive definite, that is lambda_min(H) > -shift.
+
+    H is Hermitian (only its lower triangle and the real part of its
+    diagonal are read); the verdict is a certificate, not an estimate: it
+    is True only if a floating-point Cholesky factorization of
+    H + (shift - delta) I runs to completion, with the margin
+
+        delta = gamma_{2(n+2)} tr(H + shift I),   gamma_k = k eps / (1 - k eps),
+
+    after the rule of S. M. Rump ("Verification of positive definiteness",
+    BIT 46, 2006).  H and ``shift`` are first multiplied by the power of two
+    2^-e that puts the largest diagonal entry of K = H + shift I in
+    [1/2, 1), exactly, so the verdict does not depend on the data scale.
+    A diagonal entry of K that is not positive gives False at once.
+
+    Why a completed factorization certifies K, with u = eps/2 the unit
+    roundoff and tau = tr(K): the factored matrix is M with diagonal
+    m_ii = fl(k_ii - delta), so M = K - delta I + E with |E_ii| <=
+    2u k_ii + u delta + O(u^2).  A Cholesky factorization that completes
+    gives R with R* R = M + F, and Demmel's bound (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 10.1) gives |F_ij| <=
+    g sqrt(m_ii m_jj), so ||F||_2 <= g tr(M) <= g (1 + u)^2 tau, where
+    g = gamma^u_{n+1} / (1 - gamma^u_{n+1}) in real arithmetic; doubling
+    the index, gamma^u_{2(n+1)}, leaves room for complex products (each at
+    most sqrt(2) gamma^u_2 off).  The bound holds for any order of the
+    inner products, so for blocked and recursive factorizations too.  Then
+    K = R* R + (delta I - E - F) is positive definite whenever delta > ||E||
+    + ||F||, to first order (2n + 4) u tau.  The computed trace carries a
+    relative error of at most gamma^u_n, and after the scaling tau >= 1/2,
+    so gradual underflow adds at most a few n^2 2^-1074.  delta is written
+    with eps = 2u, about (4n + 8) u tau: twice the first-order need, which
+    covers the second-order terms and the underflow for n^2 eps < 0.1.
+
+    The Cholesky factor's diagonal is also checked for NaN: numpy's
+    factorization completes on a NaN entry, with NaN pivots.  An empty H
+    gives True.
+    """
+    H = np.ascontiguousarray(H, dtype=complex if np.iscomplexobj(H) else float)
+    n = H.shape[-1]
+    if n == 0:
+        return True
+    d = H.diagonal().real
+    with np.errstate(over="ignore", under="ignore"):
+        top = d.max() + shift
+        if not (top > 0.0 and top < np.inf):  # also false for NaN
+            return False
+        e = -math.frexp(top)[1]  # ldexp scales exactly, also past 2^1023
+        K = np.ldexp(H.view(float), e).view(H.dtype)
+        diagonal = np.ldexp(d, e) + np.ldexp(shift, e)  # the diagonal of K
+    if not (diagonal > 0.0).all():
+        return False
+    k = 2 * (n + 2)
+    delta = k * _EPS / (1.0 - k * _EPS) * float(diagonal.sum())  # gamma_k tr(K)
+    np.fill_diagonal(K, diagonal - delta)
+    try:
+        R = np.linalg.cholesky(K)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(R.diagonal()).all())
+
+
+_TRIANGULAR_BLOCK = 64  # order up to which solve_triangular is one LU solve
+
+
+def solve_triangular(T: Array, B: Array, *, lower: bool) -> Array:
+    """T^-1 B for a triangular T (lower if ``lower``, else upper), by recursive halving.
+
+    T (..., n, n) and B (..., n, k) may be stacks.  Up to order
+    ``_TRIANGULAR_BLOCK`` (64) this is ``np.linalg.solve(T, B)``, bit for bit.
+    Above, T splits into halves and, for lower T,
+
+        G1 = T11^-1 B1,   G2 = T22^-1 (B2 - T21 G1)
+
+    (for upper T the second half first), so the LU factorizations run only
+    on the diagonal blocks of order 64 or less and the rest is matrix
+    products.  numpy has no triangular solver; LU with partial pivoting on
+    a triangular block is backward stable like any LU solve.
+    """
+    n = T.shape[-1]
+    if n <= _TRIANGULAR_BLOCK:
+        return np.linalg.solve(T, B)
+    h = n // 2
+    first, second = (slice(None, h), slice(h, None)) if lower else (slice(h, None), slice(None, h))
+    out = np.empty(np.broadcast_shapes(T.shape[:-2], B.shape[:-2]) + B.shape[-2:],
+                   dtype=np.result_type(T, B))
+    out[..., first, :] = G = solve_triangular(T[..., first, first], B[..., first, :], lower=lower)
+    out[..., second, :] = solve_triangular(
+        T[..., second, second], B[..., second, :] - T[..., second, first] @ G, lower=lower
+    )
+    return out
+
+
 def apply_l(B, W: Array) -> Array:
     """W + sum(Bi* W Bi): the sensitivity operator L at X, with Bi = X^-1 Ai.
 
@@ -177,7 +276,13 @@ def solve_l(B, R: Array, rtol: float, max_matvecs: int) -> tuple[Array, bool]:
     keeps the split: E is Hermitian by storage, and real for real B and R.
     Returns E and whether the residual estimate met ``rtol * ||R||`` within
     ``max_matvecs`` products of L (a restart's explicit residual counts as
-    one); a zero R gives E = 0, solved, without a product.
+    one); a zero R gives E = 0, solved, without a product.  A restart whose
+    explicit residual is not below half the previous restart's, and is more
+    than twice the residual the finished cycle's own estimate promised, ends
+    the solve unsolved: GMRES has stagnated at the rounding floor of an
+    ill-conditioned L, and more products would not lower the residual.  A
+    cycle whose estimate agrees with its explicit residual is slow, not
+    stalled, and the solve goes on.
     """
 
     def hermitian(v: Array) -> Array:
@@ -199,9 +304,12 @@ def solve_l(B, R: Array, rtol: float, max_matvecs: int) -> tuple[Array, bool]:
     cs, sn, g = np.empty(r), np.empty(r), np.empty(r + 1)
     x = np.zeros(b.size)
     target = rtol * np.linalg.norm(b)
-    res, matvecs = b, 0
+    res, matvecs, previous, promised = b, 0, np.inf, np.inf
     while True:
         g[0] = np.linalg.norm(res)
+        if not g[0] < 0.5 * previous and g[0] > 2.0 * promised:  # stagnated
+            return hermitian(x), False
+        previous = g[0]
         V[0] = res / g[0]
         H[:] = 0.0
         for j in range(r):
@@ -226,6 +334,7 @@ def solve_l(B, R: Array, rtol: float, max_matvecs: int) -> tuple[Array, bool]:
         x += np.linalg.solve(H[:k, :k], g[:k]) @ V[:k]
         if done or matvecs >= max_matvecs:
             return hermitian(x), done
+        promised = abs(g[k])  # the cycle's residual estimate
         res = b - apply(x)
         matvecs += 1
 

@@ -149,7 +149,8 @@ def gram_parts(
     in Anti (the real case's own Grams keep the Anti part's G_Q alone).  The
     rows of L^-1 are dropped part by part: the first-order change uses the
     L-solve (:func:`matfix.perturbation.first_order_delta`: tolerance 1e-14,
-    at most 1000 products of L, else :class:`SingularOperator`).
+    at most 1000 products of L or until GMRES stagnates, then a backward
+    error of at most 1e-14, else :class:`SingularOperator`).
     """
     real, m = len(inverses) == 2, len(B)
     parts = []

@@ -271,7 +271,8 @@ def first_order_delta(bundle: OperatorBundle, spec: PerturbationSpec) -> Array:
 
     The L-solve :func:`matfix.linalg.solve_l` runs on the Hermitian part of
     RHS to relative residual FIRST_ORDER_RTOL within FIRST_ORDER_MATVECS
-    products of L; dX is Hermitian by storage, and real on real data.  dX is
+    products of L, or until GMRES stagnates at the rounding floor of an
+    ill-conditioned L; dX is Hermitian by storage, and real on real data.  dX is
     returned only if its normwise backward error ||RHS - L(dX)|| /
     (||L|| ||dX|| + ||RHS||), with ||L|| = 1/l, is at most FIRST_ORDER_RTOL;
     otherwise :class:`SingularOperator` reports it and the relative residual.

@@ -10,7 +10,9 @@ is the quantity the returned report carries per iteration.
 Each Hermitian iterate is factored once, X = L L*.  The factorization is the
 positive definiteness guard, and with Gi = L^-1 Ai it gives
 F(X) = Q + sum(Gi* Gi), so every iterate is Q plus a positive semidefinite
-term.  Q itself is certified at entry by the eigenvalue test of
+term.  Every solve with L or L* is a triangular solve
+(:func:`linalg.solve_triangular`), which above order 64 factors only
+diagonal blocks.  Q itself is certified at entry by the eigenvalue test of
 :func:`linalg.is_positive_definite`.
 
 When the observed residual ratio shows slow contraction, :func:`solve`
@@ -228,16 +230,17 @@ def _apply_map(instance: EquationInstance, X: Array) -> Array:
 def _cholesky_map(Q: Array, Ah: Array, X: Array) -> tuple[Array, Array, Array]:
     """herm(F(X)) for Hermitian X from one Cholesky factor X = L L*.
 
-    With Gi = L^-1 Ai, solved for all i at once from Ah = [A1 ... Am], the
-    map is Q + sum(Gi* Gi); stacking the Gi vertically turns the sum into
-    one product.  Returns the map together with L and G = [G1 ... Gm], which
-    give Bi = X^-1 Ai = L^-* Gi for a Newton step.  Every argument may be a
-    stack (..., n, .) of members.  Raises ``np.linalg.LinAlgError`` when X
-    (some member of X) is not numerically positive definite.
+    With Gi = L^-1 Ai, one triangular solve for all i at once from
+    Ah = [A1 ... Am], the map is Q + sum(Gi* Gi); stacking the Gi
+    vertically turns the sum into one product.  Returns the map together
+    with L and G = [G1 ... Gm], which give Bi = X^-1 Ai = L^-* Gi for a
+    Newton step.  Every argument may be a stack (..., n, .) of members.
+    Raises ``np.linalg.LinAlgError`` when X (some member of X) is not
+    numerically positive definite.
     """
     n = X.shape[-1]
     L = np.linalg.cholesky(X)
-    G = np.linalg.solve(L, Ah)
+    G = linalg.solve_triangular(L, Ah, lower=True)
     lead = G.shape[:-2]
     Gs = G.reshape(*lead, n, -1, n).swapaxes(-3, -2).reshape(*lead, -1, n)
     F = Gs.conj().swapaxes(-1, -2) @ Gs
@@ -264,15 +267,16 @@ def _newton_step(
 ) -> tuple[Array, bool]:
     """Inexact Newton iterate X + E with E + sum(Bi* E Bi) = F(X) - X.
 
-    Bi = X^-1 Ai = L^-* Gi comes from the iterate's Cholesky factor.  GMRES
-    runs to the forcing term min(1e-2, res), kept above 0.5 tol/res so the
-    last step does not overshoot tol (Eisenstat & Walker, SISC 17, 1996),
-    and is capped at the fixed-point steps the step is expected to save,
+    Bi = X^-1 Ai = L^-* Gi comes from the iterate's Cholesky factor, by a
+    triangular solve with L*.  GMRES runs to the forcing term
+    min(1e-2, res), kept above 0.5 tol/res so the last step does not
+    overshoot tol (Eisenstat & Walker, SISC 17, 1996), and is capped at the
+    fixed-point steps the step is expected to save,
     log(max(eta res, tol) / res) / log(rate), and at n^2.  Returns the
     iterate and whether GMRES met its tolerance within the cap.
     """
     n = X.shape[0]
-    B = np.linalg.solve(L.conj().T, G)
+    B = linalg.solve_triangular(L.conj().T, G, lower=False)
     eta = min(1e-2, max(res, 0.5 * tol / res))
     cap = n * n
     if rate < 1.0:
@@ -289,7 +293,7 @@ def _geometric_mean(L: Array, FX: Array) -> Array:
     solution when the iteration oscillates; for a scalar equation with q -> 0
     their geometric mean is the solution itself.
     """
-    C = np.linalg.solve(L, np.linalg.solve(L, FX).conj().T)
+    C = linalg.solve_triangular(L, linalg.solve_triangular(L, FX, lower=True).conj().T, lower=True)
     w, U = np.linalg.eigh(C)
     S = L @ (U * np.sqrt(np.sqrt(np.maximum(w, 0.0))))
     return linalg.hermitian_part(S @ S.conj().T)

@@ -12,7 +12,9 @@ from matfix import (
     scalar_interval,
     solve,
 )
+from matfix.bounds import default_membership_tolerance
 from matfix.examples import benchmark_instance
+from matfix.linalg import hermitian_part
 from tests.conftest import make_random_instance
 
 GOLDEN = (1 + np.sqrt(5)) / 2
@@ -164,3 +166,72 @@ class TestMembership:
             assert membership(rep.X, coarse_interval(inst), slack)
             assert membership(rep.X, refined_interval(inst, sb), slack)
             assert membership(rep.X, scalar_interval(inst, sb), slack)
+
+
+def eigenvalue_membership(X, interval, tol):
+    """The eigenvalue-estimate verdict: lambda_min >= -tol for both differences."""
+    lo = np.linalg.eigvalsh(hermitian_part(X - interval.lower))[0]
+    hi = np.linalg.eigvalsh(hermitian_part(interval.upper - X))[0]
+    return bool(lo >= -tol and hi >= -tol)
+
+
+class TestMembershipCertificate:
+    # membership is two Cholesky certificates; away from the boundary
+    # lambda_min = -tol they give the verdicts of the eigenvalue test
+    def test_agrees_with_eigenvalues_on_this_files_instances(self, rng):
+        box = MatrixInterval(lower=np.eye(2), upper=3 * np.eye(2))
+        cases = [(np.eye(2), box, None), (4 * np.eye(2), box, None)]
+        inst = benchmark_instance(1)
+        X = solve(inst, SolveSettings(tol=1e-12)).X
+        sb = scalar_bounds(inst)
+        cases += [(X, coarse_interval(inst), 1e-10), (X, refined_interval(inst, sb), 1e-10)]
+        for k in range(5):  # the draws of test_solution_in_all_three_intervals
+            inst = make_random_instance(rng)
+            sb = scalar_bounds(inst)
+            rep = solve(inst, SolveSettings(tol=1e-11))
+            slack = 10 * max(rep.residual_norm, 1e-11)
+            boxes = (coarse_interval(inst), refined_interval(inst, sb), scalar_interval(inst, sb))
+            cases += [(rep.X, b, slack) for b in boxes]
+            if k == 0:  # test_contains_solution's instance
+                cases.append((solve(inst, SolveSettings(tol=1e-12)).X, boxes[1], 1e-10))
+        verdicts = []
+        for X, interval, tol in cases:
+            t = default_membership_tolerance(interval) if tol is None else tol
+            verdicts.append(membership(X, interval, tol))
+            assert verdicts[-1] == eigenvalue_membership(X, interval, t)
+        assert verdicts.count(False) == 1
+
+    def test_agrees_with_eigenvalues_away_from_the_boundary(self):
+        rng = np.random.default_rng(5)
+        counts = {True: 0, False: 0}
+        for trial in range(200):
+            n = int(rng.integers(1, 13))
+            scale = 10.0 ** rng.uniform(-6, 6)
+            G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            lower = scale * hermitian_part(G)
+            W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            upper = lower + scale * (W @ W.conj().T + 0.1 * np.eye(n))
+            P = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            t = rng.uniform(-0.3, 1.3)
+            X = (1 - t) * lower + t * upper + 0.05 * scale * rng.standard_normal() * hermitian_part(P)
+            box = MatrixInterval(lower=lower, upper=hermitian_part(upper))
+            tol = scale * float(rng.choice([0.0, 1e-12, 1e-3]))
+            lo = np.linalg.eigvalsh(hermitian_part(X - box.lower))[0]
+            hi = np.linalg.eigvalsh(hermitian_part(box.upper - X))[0]
+            if min(abs(lo + tol), abs(hi + tol)) <= 1e-6 * scale:
+                continue  # near the boundary the two tests may differ
+            verdict = membership(X, box, tol)
+            assert verdict == eigenvalue_membership(X, box, tol), trial
+            counts[verdict] += 1
+        assert counts[True] >= 50 and counts[False] >= 50
+
+    def test_makes_no_eigensolve(self, rng, monkeypatch):
+        inst = make_random_instance(rng)
+        X = solve(inst).X
+        box = coarse_interval(inst)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(None) or eigvalsh(*a, **k))
+        assert membership(X, box, 1e-9)
+        assert not membership(box.upper + np.eye(inst.n), box, 1e-9)
+        assert calls == []

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from matfix import SolveSettings, cli, solve
+from matfix.bounds import coarse_interval, default_membership_tolerance
 from matfix.cli import main
 from matfix.fileio import parse_instance
 
@@ -143,11 +144,59 @@ class TestSolveCommand:
         assert doc["report"]["solve"]["newton_steps"] == 0
 
 
+def write_instance(path, A, Q):
+    path.write_text(json.dumps({
+        "n": Q.shape[0], "m": len(A), "Q": {"re": Q.real.tolist(), "im": Q.imag.tolist()},
+        "A": [{"re": Ai.real.tolist(), "im": Ai.imag.tolist()} for Ai in A],
+    }))
+    return str(path)
+
+
+class TestSolveEigensolves:
+    def test_mild_n128_makes_iterations_plus_two(self, capsys, tmp_path, monkeypatch):
+        # one eigensolve per residual, one for Q's validation, one for the
+        # scalar bounds: the three memberships are Cholesky certificates and
+        # the default slack cannot win here, so its eigensolve is skipped
+        rng = np.random.default_rng(1)
+        A = []
+        for _ in range(2):
+            G = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+            A.append(0.3 * G / np.linalg.norm(G, 2))
+        path = write_instance(tmp_path / "mild.json", A, np.eye(128, dtype=complex))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(None) or eigvalsh(*a, **k))
+        code, doc, _ = run_structured(capsys, "solve", path)
+        assert code == 0
+        report = doc["report"]
+        assert report["solve"]["iterations"] == 7
+        assert all(report["bounds"]["membership"].values())
+        assert len(calls) == report["solve"]["iterations"] + 2 == 9
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("scale, tol", [(1.0, "1e-10"), (1e8, "1e-12")])
+    def test_slack_bit_for_bit(self, capsys, tmp_path, k, scale, tol):
+        # the slack is max(default_membership_tolerance(coarse), 10 max(res, tol))
+        # whether or not its first term's eigensolve is made; at data scale 1e8
+        # with tol 1e-12 the first term wins
+        inst = parse_instance(FIXTURES / f"example{k}.json")
+        path = write_instance(tmp_path / "data.json", [scale * Ai for Ai in inst.A], scale * inst.Q)
+        code, doc, _ = run_structured(capsys, "solve", path, "--tol", tol)
+        report = doc["report"]
+        inst = parse_instance(path)
+        first = default_membership_tolerance(coarse_interval(inst))
+        second = 10.0 * max(report["solve"]["residual_norm"], float(tol))
+        assert report["bounds"]["membership_slack"] == max(first, second)
+        assert (first > second) == (scale > 1.0)
+        assert all(report["bounds"]["membership"].values())
+
+
 def test_cli_solve_loads_no_scipy(tmp_path):
     # numpy is the only runtime dependency: a slow solve, which takes the
-    # Newton-GMRES finish, and analyze, whose first-order change is the same
-    # L-solve, must not pull scipy in through a lazy import; each runs in a
-    # fresh interpreter
+    # Newton-GMRES finish, analyze, whose first-order change is the same
+    # L-solve, and reproduce 1, whose interval membership is a Cholesky
+    # certificate, must not pull scipy in through a lazy import; each runs
+    # in a fresh interpreter
     script = """
 import json, sys
 import numpy as np
@@ -168,7 +217,7 @@ print("SCIPY" if any(m == "scipy" or m.startswith("scipy.") for m in sys.modules
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     analyze = ["analyze", str(FIXTURES / "example2.json"), str(FIXTURES / "delta_j7.json"), "--case"]
-    for argv in ([], analyze + ["complex"], analyze + ["real"]):
+    for argv in ([], analyze + ["complex"], analyze + ["real"], ["reproduce", "1"]):
         proc = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path / "slow.json"), *argv],
             capture_output=True, text=True, env=env, timeout=120,
@@ -178,8 +227,10 @@ print("SCIPY" if any(m == "scipy" or m.startswith("scipy.") for m in sys.modules
         assert last == "CLEAN 0", argv
         if not argv:
             assert '"newton_steps": 0' not in proc.stdout
-        else:
+        elif argv[0] == "analyze":
             assert '"first_order"' in proc.stdout
+        else:
+            assert '"in_scalar_interval": true' in proc.stdout
 
 
 def test_parser_built_on_first_call_not_at_import():

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,13 +19,17 @@ from matfix import (
 )
 from matfix.examples import BENCHMARK4_Q, tridiagonal_seed
 from matfix.linalg import (
+    certify_psd,
     complex_form,
     gram_norm,
     real_form,
     scaled_gram,
+    solve_triangular,
     sym_anti_blocks,
     sym_anti_rows,
 )
+
+EPS = np.finfo(float).eps
 
 
 def tridiag_eigs(n=5):
@@ -181,6 +186,142 @@ class TestIsPositiveDefinite:
         # scaled identity stays PD under the default relative tolerance
         assert is_positive_definite(1e8 * np.eye(5))
         assert not is_positive_definite(np.zeros((3, 3)))
+
+
+def hermitian_with_spectrum(rng, lam, complex_data):
+    """U diag(lam) U* for a random unitary (orthogonal on real data) U."""
+    n = lam.size
+    G = rng.standard_normal((n, n))
+    if complex_data:
+        G = G + 1j * rng.standard_normal((n, n))
+    U = np.linalg.qr(G)[0]
+    H = (U * lam) @ U.conj().T
+    return hermitian_part(H) if complex_data else (H + H.T) / 2
+
+
+def gamma(k):
+    return k * EPS / (1 - k * EPS)
+
+
+class TestCertifyPsd:
+    # delta = gamma_{2(n+2)} tr(H + shift I), gamma_k = k eps / (1 - k eps): the
+    # certificate must refuse every lambda_min < -shift (1 + 1e-8) and accept
+    # every lambda_min >= -shift + 10 delta, at any data scale
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("complex_data", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64, 128])
+    def test_thresholds(self, n, complex_data, scale):
+        rng = np.random.default_rng(10 * n + complex_data)
+        for shift in (1e-3, 0.5, 2.0):
+            rest = rng.uniform(0.1, 1.0, n - 1)
+            g = gamma(2 * (n + 2))
+            # lambda_min + shift = 10 delta, with delta taken on the matrix itself
+            gap = 10 * g * (rest.sum() + (n - 1) * shift) / (1 - 10 * g) if n > 1 else 1e-8 * shift
+            for lam_min, verdict in ((-shift + gap * (1 + 1e-9), True),
+                                     (-shift * (1 + 2e-8), False),
+                                     (-2 * shift, False)):
+                lam = np.concatenate([[lam_min], rest])
+                H = hermitian_with_spectrum(rng, lam, complex_data)
+                assert H.dtype == (complex if complex_data else float)
+                assert certify_psd(scale * H, scale * shift) is verdict, (shift, lam_min)
+
+    def test_refuses_what_plain_cholesky_accepts(self):
+        # [[a, b], [b, fl(b^2/a)]] is indefinite when fl rounds b^2/a down (exact
+        # determinant below 0, in rationals), yet a floating-point Cholesky of it
+        # often completes: the margin delta is what refuses it
+        rng = np.random.default_rng(0)
+        accepted = 0
+        for _ in range(200):
+            a, b = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+            c = float(Fraction(b) ** 2 / Fraction(a))
+            if Fraction(a) * Fraction(c) >= Fraction(b) ** 2:
+                continue
+            H = np.array([[a, b], [b, c]])
+            try:
+                np.linalg.cholesky(H)
+                accepted += 1
+            except np.linalg.LinAlgError:
+                pass
+            assert not certify_psd(H, 0.0)
+            assert not certify_psd(H.astype(complex), 0.0)
+        assert accepted >= 5
+
+    def test_strict_at_the_boundary(self):
+        # lambda_min = -shift exactly is not certified; the empty matrix is
+        assert not certify_psd(np.zeros((3, 3)), 0.0)
+        assert not certify_psd(-np.eye(2), 1.0)
+        assert certify_psd(np.zeros((3, 3)), 1e-300)
+        assert certify_psd(np.zeros((0, 0)), 0.0)
+
+    def test_non_finite_entries_and_non_positive_diagonal(self):
+        assert not certify_psd(np.diag([1.0, np.nan]), 0.0)
+        assert not certify_psd(np.diag([np.inf, 1.0]), 0.0)
+        # numpy's Cholesky completes on a NaN off the diagonal, with NaN pivots
+        assert not certify_psd(np.array([[1.0, np.nan], [np.nan, 1.0]]), 0.0)
+        assert not certify_psd(np.array([[1.0, np.inf], [np.inf, 1.0]]), 0.0)
+        assert not certify_psd(np.diag([1.0, -1e-300]), 0.0)
+        assert not certify_psd(np.array([[1e-300, 1.0], [1.0, 1e-300]]), 0.0)
+
+    @pytest.mark.parametrize("top", [5e-324, 1e-310, 1e300])
+    def test_extreme_diagonal_scales_exactly(self, top):
+        # the power-of-two scaling reaches subnormal and huge diagonals
+        assert certify_psd(top * np.eye(3), 0.0)
+        assert not certify_psd(np.diag([top, top, -top]), 0.0)
+
+    def test_makes_no_eigensolve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert certify_psd(hermitian_part(np.eye(4) + 0.1j * np.triu(np.ones((4, 4)), 1)), 0.0)
+
+
+def cholesky_factor(rng, n, complex_data, lower, k=None):
+    """A random Cholesky factor (a stack of k if k), transposed when not ``lower``."""
+    shape = (n, n) if k is None else (k, n, n)
+    G = rng.standard_normal(shape)
+    if complex_data:
+        G = G + 1j * rng.standard_normal(shape)
+    L = np.linalg.cholesky(G @ G.conj().swapaxes(-1, -2) + 1e-3 * np.eye(n))
+    return L if lower else L.conj().swapaxes(-1, -2)
+
+
+class TestSolveTriangular:
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 48, 64])
+    def test_small_orders_are_one_lu_solve(self, n, lower, k):
+        rng = np.random.default_rng(n)
+        T = cholesky_factor(rng, n, True, lower, k)
+        B = rng.standard_normal(T.shape[:-1] + (2 * n,)) + 1j * rng.standard_normal(T.shape[:-1] + (2 * n,))
+        assert np.array_equal(solve_triangular(T, B, lower=lower), np.linalg.solve(T, B))
+
+    @pytest.mark.parametrize("complex_data", [False, True])
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("n", [65, 100, 128, 200])
+    def test_backward_error(self, n, lower, k, complex_data):
+        rng = np.random.default_rng(n + lower)
+        T = cholesky_factor(rng, n, complex_data, lower, k)
+        B = rng.standard_normal(T.shape[:-1] + (7,))
+        X = solve_triangular(T, B, lower=lower)
+        assert X.shape == B.shape and X.dtype == (complex if complex_data else float)
+        norm = lambda M: np.linalg.norm(M, axis=(-2, -1))
+        assert (norm(T @ X - B) <= 4 * n * EPS * norm(T) * norm(X)).all()
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_nearly_singular_factor(self, rotated):
+        # the factor of Q = diag(1e-12, 1, ..., 1) at n=80, as is and in a random basis
+        n = 80
+        rng = np.random.default_rng(12)
+        Q = np.diag(np.r_[1e-12, np.ones(n - 1)])
+        if rotated:
+            U = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            Q = hermitian_part(U @ Q @ U.conj().T)
+        L = np.linalg.cholesky(Q)
+        B = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
+        for T, lower in ((L, True), (L.conj().T, False)):
+            X = solve_triangular(T, B, lower=lower)
+            assert np.linalg.norm(T @ X - B) <= 4 * n * EPS * np.linalg.norm(T) * np.linalg.norm(X)
 
 
 class TestKron:

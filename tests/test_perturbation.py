@@ -6,12 +6,14 @@ from matfix import (
     EquationInstance,
     NonzeroDeltaQ,
     PerturbationSpec,
+    SolveSettings,
     build_bundle,
     feasibility_table,
     first_order_delta,
     frobenius_norm,
     hermitian_part,
     scalar_bounds,
+    solve,
     spectral_norm,
     unvec,
     vec,
@@ -19,6 +21,7 @@ from matfix import (
     xi2,
     xi3,
 )
+from matfix import linalg
 from matfix.examples import (
     benchmark2_delta_norms,
     benchmark2_deterministic_deltas,
@@ -343,6 +346,45 @@ class TestFirstOrderDelta:
         # the normwise backward error first_order_delta accepts
         assert residual <= 1e-14 * (np.linalg.norm(L, 2) * np.linalg.norm(dX) + np.linalg.norm(rhs))
         assert complex_data or not dX.imag.any()
+
+    def test_stagnating_l_solve_stops_early(self, monkeypatch):
+        # cond(L) ~ 1.5e9 (n=16, m=1, ||A|| = 300, Q = I, X solved to 1e-7):
+        # GMRES's explicit residual stalls near 1e-12 relative, above the
+        # 1e-14 target, and the stagnation stop ends the L-solve after about
+        # 130 products instead of the 1000 of the cap; the dX it returns
+        # still passes the backward-error acceptance
+        n = 16
+        rng = np.random.default_rng(4)
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        inst = EquationInstance(A=[300.0 * G / np.linalg.norm(G, 2)], Q=np.eye(n))
+        rep = solve(inst, SolveSettings(tol=1e-7))
+        assert rep.converged
+        bundle = build_bundle(inst, rep.X)
+        D = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        spec = PerturbationSpec(dA=[np.zeros((n, n))], dQ=1e-6 * hermitian_part(D))
+        calls = []
+        apply_l = linalg.apply_l
+        monkeypatch.setattr(linalg, "apply_l", lambda B, W: calls.append(None) or apply_l(B, W))
+        dX = first_order_delta(bundle, spec)
+        assert len(calls) <= 200
+        L = np.eye(n * n) + np.kron(bundle.B[0].T, bundle.B[0].conj().T)
+        assert np.linalg.cond(L) > 1e9
+        expected = unvec(np.linalg.solve(L, vec(spec.dQ)), n)
+        assert np.abs(dX - expected).max() <= 1e-6 * np.abs(expected).max()
+
+    def test_slow_l_solve_is_not_stopped(self):
+        # here the first restarts lower the explicit residual by only 10-20%
+        # each, as their own estimates predicted, before GMRES speeds up: a
+        # slow cycle is not a stall, and the L-solve goes on to an accepted dX
+        n = 16
+        rng = np.random.default_rng(8)
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        inst = EquationInstance(A=[300.0 * G / np.linalg.norm(G, 2)], Q=np.eye(n))
+        bundle = build_bundle(inst, solve(inst, SolveSettings(tol=1e-7)).X)
+        rng = np.random.default_rng(8)
+        D = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        dX = first_order_delta(bundle, PerturbationSpec(dA=[1e-6 * D], dQ=np.zeros((n, n))))
+        assert np.isfinite(dX).all()
 
 
 class TestDominationSweep:

@@ -424,6 +424,15 @@ class TestHybridSolver:
         else:
             assert rep.iterations + len(count_l_actions) <= plain
 
+    @pytest.mark.parametrize("n, m, norm", GRID)
+    def test_triangular_solves_keep_the_lu_arithmetic(self, n, m, norm, monkeypatch):
+        # up to order 64 every solve with a Cholesky factor is the LU solve
+        # np.linalg.solve(T, B) it replaced, so the reports are bit-identical
+        inst = gaussian_instance(n * 100 + m * 10 + int(norm), n, m, norm)
+        rep = solve(inst)
+        monkeypatch.setattr(linalg, "solve_triangular", lambda T, B, *, lower: np.linalg.solve(T, B))
+        assert_same_report(rep, solve(inst))
+
     def test_newton_work_m1_n48(self, count_l_actions):
         inst = gaussian_instance(5, 48, 1, 30.0)
         rep = solve(inst)
