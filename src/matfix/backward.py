@@ -8,7 +8,8 @@ solution: when Sigma = sum ||Xt^-1 Ai||^2 < 1 and
 
 then ||Xt - X|| <= theta ||R(Xt)|| with the theta computed here.
 Infeasibility is reported, not raised: callers want Sigma and the threshold
-as diagnostics even when the certificate does not apply.
+as diagnostics even when the certificate does not apply.  R and each Xt^-1 Ai
+come from the Cholesky factor Xt = L L* of the solver's own map F.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotPositiveDefinite
-from .solver import EquationInstance, residual
+from .solver import EquationInstance, _hermitian_map, _hermitian_norm
 
 Array = np.ndarray
 
@@ -38,6 +39,8 @@ class BackwardErrorReport:
 def backward_bound(instance: EquationInstance, Xt: Array) -> BackwardErrorReport:
     """Evaluate the certificate at Xt; ``feasible`` records applicability.
 
+    :class:`NotPositiveDefinite` is raised unless herm(Xt) has a Cholesky
+    factor and lambda_min above :func:`matfix.linalg.definiteness_floor`.
     theta and bound are NaN when the feasibility condition fails badly enough
     that the square root below would leave the reals; they are still computed
     whenever the discriminant allows, since near-threshold diagnostics are
@@ -45,13 +48,17 @@ def backward_bound(instance: EquationInstance, Xt: Array) -> BackwardErrorReport
     """
     Xt = linalg.as_matrix(Xt, name="Xt")
     H = linalg.hermitian_part(Xt)
-    lam_min, _ = linalg.eig_extremes(H)
-    if lam_min <= 0.0:
+    lam_min, lam_max = linalg.eig_extremes(H)
+    if not lam_min > linalg.definiteness_floor(len(H), lam_max):
         raise NotPositiveDefinite("backward_bound requires a positive definite Xt")
+    try:
+        FH, L, G = _hermitian_map(instance, H)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"backward_bound requires a positive definite Xt: {exc}") from exc
 
-    Xinv = linalg.inverse(H)
-    Sigma = float(sum(linalg.spectral_norm(Xinv @ Ai) ** 2 for Ai in instance.A))
-    _, res_norm = residual(instance, H)
+    B = linalg.solve_triangular(L.conj().T, G, lower=False)  # [Xt^-1 A1 ... Xt^-1 Am]
+    Sigma = float(sum(linalg.spectral_norm(Bi) ** 2 for Bi in np.hsplit(B, instance.m)))
+    res_norm = _hermitian_norm(FH - H)
 
     if Sigma < 1.0:
         threshold = (1.0 - Sigma) ** 2 / (1.0 + Sigma + 2.0 * math.sqrt(Sigma)) * lam_min

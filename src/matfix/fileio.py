@@ -10,8 +10,9 @@ Instance document::
 
 ``im`` is optional (defaults to zero).  A perturbation document uses the
 same matrix objects under keys ``dQ`` and ``dA``, both optional (defaulting
-to zero).  Numbers round-trip at full double precision; parse errors name
-the offending field or line.
+to zero); ``dQ`` must be exactly Hermitian, as Q must.  Numbers round-trip
+at full double precision; parse errors name the offending field or line,
+and an unreadable file (missing, a directory, not UTF-8) its path.
 
 A grid of rows is converted in one ``np.array`` call once a fast check has
 seen n lists of n entries, every entry a JSON number (``int`` or ``float``).
@@ -28,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import NotHermitian, ParseError
+from .linalg import is_exactly_hermitian
 from .perturbation import PerturbationSpec
 from .solver import EquationInstance
 
@@ -88,11 +90,12 @@ def _matrix(obj, n: int, where: str) -> Array:
 
 
 def _load_json(path) -> dict:
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     return doc
@@ -131,6 +134,8 @@ def parse_delta(path, instance: EquationInstance) -> PerturbationSpec:
         )
     if "dQ" in doc:
         dQ = _matrix(doc["dQ"], n, "dQ")
+        if not is_exactly_hermitian(dQ):
+            raise NotHermitian(f"{path}: dQ is not Hermitian")
     else:
         dQ = np.zeros((n, n), dtype=complex)
     if "dA" in doc:

@@ -15,9 +15,9 @@ Conventions fixed project-wide:
   lower triangle (see :func:`hermitian_part`), never by trusting rounding.
 * A yes/no positive definiteness verdict on a computed matrix, such as an
   interval membership, is a Cholesky certificate with a rounding margin
-  (:func:`certify_psd`), never an eigenvalue estimate.  Only the entry test
-  of data, :func:`is_positive_definite`, reads eigenvalues: its threshold
-  is relative to lambda_max.
+  (:func:`certify_psd`), never an eigenvalue estimate.  Only entry tests of
+  data (:func:`is_positive_definite`, the backward error's Xt) read
+  eigenvalues: their threshold, :func:`definiteness_floor`, is relative to lambda_max.
 """
 
 from __future__ import annotations
@@ -139,12 +139,17 @@ def eig_extremes(H: Array):
     return float(w[0]), float(w[-1])
 
 
+def definiteness_floor(n: int, lam_max):
+    """n eps max(lambda_max, 0): lambda_min of a positive definite order-n H is above it."""
+    return n * _EPS * np.maximum(lam_max, 0.0)
+
+
 def is_positive_definite(H: Array, tol: float | None = None):
     """True iff lambda_min(H) > tol; for a stack (..., n, n), a bool array (...).
 
-    ``tol`` defaults to n*eps*lambda_max(H) (floored at 0); both extremes
-    come from one eigenvalue call.  This is the entry test for data (Q, x0,
-    a candidate solution); solver iterates are guarded by their Cholesky
+    ``tol`` defaults to :func:`definiteness_floor`; both extremes come from
+    one eigenvalue call.  This is the entry test for data (Q, x0, a
+    candidate solution); solver iterates are guarded by their Cholesky
     factorization instead.
     """
     H = np.asarray(H)
@@ -152,7 +157,7 @@ def is_positive_definite(H: Array, tol: float | None = None):
         return np.ones(H.shape[:-2], dtype=bool) if H.ndim > 2 else True
     lam_min, lam_max = eig_extremes(H)
     if tol is None:
-        tol = H.shape[-1] * _EPS * np.maximum(lam_max, 0.0)
+        tol = definiteness_floor(H.shape[-1], lam_max)
     verdict = lam_min > tol
     return verdict if H.ndim > 2 else bool(verdict)
 

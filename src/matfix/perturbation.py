@@ -9,9 +9,10 @@ under data perturbations (dA_1..dA_m, dQ):
 * ``xi3``  operator-based absolute bound built on the L/P_i surrogates,
   usually the sharpest of the three.
 
-``feasibility_table`` evaluates the six applicability conditions (con1..con6)
-diagnostically, and ``first_order_delta`` returns the first-order solution
-change L^-1(dQ + sum(B_i* dA_i + dA_i* B_i)).
+A term function per bound computes its conditions without raising, and the
+bound checks them; ``feasibility_table`` reports them as con1..con6, con3
+its own, and ``first_order_delta`` returns the first-order solution change
+L^-1(dQ + sum(B_i* dA_i + dA_i* B_i)).  F is evaluated only in the solver.
 """
 
 from __future__ import annotations
@@ -72,6 +73,9 @@ class BoundReport:
     inputs_echo: dict[str, float] = field(default_factory=dict)
 
 
+Terms = tuple[dict[str, float], dict[str, ConditionValue]]  # a bound's inputs, its conditions
+
+
 def _check(conditions: dict[str, ConditionValue], kind: str, echo: dict[str, float]) -> None:
     for name, cv in conditions.items():
         if not cv.passed:
@@ -82,6 +86,19 @@ def _check(conditions: dict[str, ConditionValue], kind: str, echo: dict[str, flo
             )
 
 
+def _xi1_terms(sb: ScalarBounds, spec: PerturbationSpec, norms_a: list[float]) -> Terms:
+    beta, da, dq = sb.beta, spec.da_norms, spec.dq_norm
+    b = beta * beta + beta * dq - sum(v * v for v in norms_a)
+    s = sum(da[i] * (2.0 * norms_a[i] + da[i]) for i in range(len(norms_a)))
+    disc = b * b - 4.0 * beta * beta * (beta * dq + s)
+    echo = {"beta": beta, "b": b, "s": s, "dq_norm": dq, "sum_da": sum(da)}
+    return echo, {
+        "b_positive": ConditionValue(b, b > 0.0),
+        "b_below_2beta_sq": ConditionValue(2.0 * beta * beta - b, 2.0 * beta * beta - b > 0.0),
+        "discriminant": ConditionValue(disc, disc >= 0.0),
+    }
+
+
 def xi1(instance: EquationInstance, sb: ScalarBounds, spec: PerturbationSpec) -> BoundReport:
     """A priori relative bound; requires 0 < b < 2 beta^2 and a nonnegative
     discriminant b^2 - 4 beta^2 (beta ||dQ|| + s).
@@ -90,22 +107,10 @@ def xi1(instance: EquationInstance, sb: ScalarBounds, spec: PerturbationSpec) ->
     is algebraically identical to the split rho/omega form but has no 0/0 at
     dA = 0.
     """
-    beta = sb.beta
-    norms_a = [linalg.spectral_norm(Ai) for Ai in instance.A]
-    da = spec.da_norms
-    dq = spec.dq_norm
-    b = beta * beta + beta * dq - sum(v * v for v in norms_a)
-    s = sum(da[i] * (2.0 * norms_a[i] + da[i]) for i in range(instance.m))
-    disc = b * b - 4.0 * beta * beta * (beta * dq + s)
-
-    echo = {"beta": beta, "b": b, "s": s, "dq_norm": dq, "sum_da": sum(da)}
-    conditions = {
-        "b_positive": ConditionValue(b, b > 0.0),
-        "b_below_2beta_sq": ConditionValue(2.0 * beta * beta - b, 2.0 * beta * beta - b > 0.0),
-        "discriminant": ConditionValue(disc, disc >= 0.0),
-    }
+    echo, conditions = _xi1_terms(sb, spec, [linalg.spectral_norm(Ai) for Ai in instance.A])
     _check(conditions, "xi1", echo)
-    rel = 2.0 * (s + beta * dq) / (b + math.sqrt(disc))
+    disc = conditions["discriminant"].value
+    rel = 2.0 * (echo["s"] + sb.beta * spec.dq_norm) / (echo["b"] + math.sqrt(disc))
     return BoundReport(
         kind="xi1",
         relative_bound=rel,
@@ -113,6 +118,17 @@ def xi1(instance: EquationInstance, sb: ScalarBounds, spec: PerturbationSpec) ->
         conditions=conditions,
         inputs_echo=echo,
     )
+
+
+def _xi2_terms(sb: ScalarBounds, spec: PerturbationSpec, norms_a: list[float]) -> Terms:
+    beta, da = sb.beta, spec.da_norms
+    base_margin = beta * beta - sum(v * v for v in norms_a)
+    pert_margin = beta * beta - sum((norms_a[i] + da[i]) ** 2 for i in range(len(norms_a)))
+    echo = {"beta": beta, "base_margin": base_margin, "pert_margin": pert_margin}
+    return echo, {
+        "coeff_norms_below_beta_sq": ConditionValue(base_margin, base_margin > 0.0),
+        "perturbed_norms_below_beta_sq": ConditionValue(pert_margin, pert_margin > 0.0),
+    }
 
 
 def xi2(
@@ -129,23 +145,14 @@ def xi2(
     """
     if spec.dq_norm != 0.0:
         raise NonzeroDeltaQ("xi2 covers coefficient perturbations only; got dQ != 0")
-    beta = sb.beta
-    norms_a = [linalg.spectral_norm(Ai) for Ai in instance.A]
-    da = spec.da_norms
-    base_margin = beta * beta - sum(v * v for v in norms_a)
-    pert_margin = beta * beta - sum((norms_a[i] + da[i]) ** 2 for i in range(instance.m))
-
-    echo = {"beta": beta, "base_margin": base_margin, "pert_margin": pert_margin}
-    conditions = {
-        "coeff_norms_below_beta_sq": ConditionValue(base_margin, base_margin > 0.0),
-        "perturbed_norms_below_beta_sq": ConditionValue(pert_margin, pert_margin > 0.0),
-    }
+    norms_a, da = [linalg.spectral_norm(Ai) for Ai in instance.A], spec.da_norms
+    echo, conditions = _xi2_terms(sb, spec, norms_a)
     _check(conditions, "xi2", echo)
     absolute = (
         2.0
-        * beta
+        * sb.beta
         * sum((norms_a[i] + da[i]) * da[i] for i in range(instance.m))
-        / pert_margin
+        / echo["pert_margin"]
     )
     norm_x = linalg.spectral_norm(X)
     return BoundReport(
@@ -157,18 +164,15 @@ def xi2(
     )
 
 
-def _xi3_ingredients(
-    instance: EquationInstance, bundle: OperatorBundle, spec: PerturbationSpec
-) -> dict[str, float]:
+def _xi3_ingredients(bundle: OperatorBundle, spec: PerturbationSpec, norms_a: list[float]) -> Terms:
     l, zeta, theta = bundle.l, bundle.zeta, bundle.theta
     da = spec.da_norms
-    norms_a = [linalg.spectral_norm(Ai) for Ai in instance.A]
     sigma = (zeta / l) * sum(
         ((norms_a[i] + da[i]) * zeta + bundle.theta_is[i]) * da[i]
-        for i in range(instance.m)
+        for i in range(len(norms_a))
     )
     eps = spec.dq_norm / l + sum(
-        bundle.n_ops[i] * da[i] + (zeta / l) * da[i] ** 2 for i in range(instance.m)
+        bundle.n_ops[i] * da[i] + (zeta / l) * da[i] ** 2 for i in range(len(norms_a))
     )
     threshold = (
         l
@@ -177,13 +181,20 @@ def _xi3_ingredients(
         if sigma < 1.0
         else float("nan")
     )
-    return {
+    ing = {
         "l": l,
         "zeta": zeta,
         "theta": theta,
         "sigma": sigma,
         "eps": eps,
         "eps_threshold": threshold,
+    }
+    return ing, {
+        "sigma_below_one": ConditionValue(1.0 - sigma, sigma < 1.0),
+        "eps_below_threshold": ConditionValue(
+            threshold - eps if math.isfinite(threshold) else float("nan"),
+            math.isfinite(threshold) and eps < threshold,
+        ),
     }
 
 
@@ -198,18 +209,11 @@ def xi3(
     Needs sigma < 1 and eps below the threshold
     l(1-sigma)^2 / (zeta (l + l sigma + 2 theta + 2 sqrt((l sigma + theta)(theta + l)))).
     """
-    ing = _xi3_ingredients(instance, bundle, spec)
-    sigma, eps, threshold = ing["sigma"], ing["eps"], ing["eps_threshold"]
-    l, zeta, theta = ing["l"], ing["zeta"], ing["theta"]
-
-    conditions = {
-        "sigma_below_one": ConditionValue(1.0 - sigma, sigma < 1.0),
-        "eps_below_threshold": ConditionValue(
-            threshold - eps if math.isfinite(threshold) else float("nan"),
-            math.isfinite(threshold) and eps < threshold,
-        ),
-    }
+    norms_a = [linalg.spectral_norm(Ai) for Ai in instance.A]
+    ing, conditions = _xi3_ingredients(bundle, spec, norms_a)
     _check(conditions, "xi3", ing)
+    sigma, eps = ing["sigma"], ing["eps"]
+    l, zeta, theta = ing["l"], ing["zeta"], ing["theta"]
 
     t = 1.0 + zeta * eps - sigma
     disc = l * l * t * t - 4.0 * l * zeta * eps * (l + theta)
@@ -232,33 +236,26 @@ def feasibility_table(
 ) -> dict[str, ConditionValue]:
     """The six named applicability conditions, reported rather than enforced.
 
-    con1 = 2 beta^2 - b                          (> 0)
-    con2 = beta^2 - sum||A_i||^2                 (> 0)
+    con1 = 2 beta^2 - b                          (> 0)  xi1's b_below_2beta_sq
+    con2 = beta^2 - sum||A_i||^2                 (> 0)  xi2's coeff_norms_below_beta_sq
     con3 = con2^2 - 4 beta^2 sum(||dA_i||(2||A_i|| + ||dA_i||))   (>= 0)
-    con4 = beta^2 - sum(||A_i|| + ||dA_i||)^2    (> 0)
-    con5 = 1 - sigma                             (> 0)
-    con6 = eps threshold - eps                   (> 0)
+    con4 = beta^2 - sum(||A_i|| + ||dA_i||)^2    (> 0)  xi2's perturbed_norms_below_beta_sq
+    con5 = 1 - sigma                             (> 0)  xi3's sigma_below_one
+    con6 = eps threshold - eps                   (> 0)  xi3's eps_below_threshold
     """
-    beta = sb.beta
     norms_a = [linalg.spectral_norm(Ai) for Ai in instance.A]
-    da = spec.da_norms
-    dq = spec.dq_norm
-    b = beta * beta + beta * dq - sum(v * v for v in norms_a)
-    s = sum(da[i] * (2.0 * norms_a[i] + da[i]) for i in range(instance.m))
-    con1 = 2.0 * beta * beta - b
-    con2 = beta * beta - sum(v * v for v in norms_a)
-    con3 = con2 * con2 - 4.0 * beta * beta * s
-    con4 = beta * beta - sum((norms_a[i] + da[i]) ** 2 for i in range(instance.m))
-    ing = _xi3_ingredients(instance, bundle, spec)
-    con5 = 1.0 - ing["sigma"]
-    con6 = ing["eps_threshold"] - ing["eps"] if math.isfinite(ing["eps_threshold"]) else float("nan")
+    echo1, cond1 = _xi1_terms(sb, spec, norms_a)
+    cond2 = _xi2_terms(sb, spec, norms_a)[1]
+    cond3 = _xi3_ingredients(bundle, spec, norms_a)[1]
+    con2 = cond2["coeff_norms_below_beta_sq"]
+    con3 = con2.value * con2.value - 4.0 * sb.beta * sb.beta * echo1["s"]
     return {
-        "con1": ConditionValue(con1, con1 > 0.0),
-        "con2": ConditionValue(con2, con2 > 0.0),
+        "con1": cond1["b_below_2beta_sq"],
+        "con2": con2,
         "con3": ConditionValue(con3, con3 >= 0.0),
-        "con4": ConditionValue(con4, con4 > 0.0),
-        "con5": ConditionValue(con5, con5 > 0.0),
-        "con6": ConditionValue(con6, math.isfinite(con6) and con6 > 0.0),
+        "con4": cond2["perturbed_norms_below_beta_sq"],
+        "con5": cond3["sigma_below_one"],
+        "con6": cond3["eps_below_threshold"],
     }
 
 

@@ -13,7 +13,8 @@ F(X) = Q + sum(Gi* Gi), so every iterate is Q plus a positive semidefinite
 term.  Every solve with L or L* is a triangular solve
 (:func:`linalg.solve_triangular`), which above order 64 factors only
 diagonal blocks.  Q itself is certified at entry by the eigenvalue test of
-:func:`linalg.is_positive_definite`.
+:func:`linalg.is_positive_definite`.  F is evaluated only by this map,
+:func:`_cholesky_map` (the backward error's too), and raw mode's :func:`_lu_map`.
 
 When the observed residual ratio shows slow contraction, :func:`solve`
 switches to inexact Newton steps.  The Jacobian of X - F(X) is the
@@ -91,8 +92,8 @@ class SolveSettings:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -204,11 +205,6 @@ def _initial_iterates(Q: Array, settings: SolveSettings, hermitian: bool) -> Arr
     return np.broadcast_to(X0, Q.shape)
 
 
-def _coefficients(instance: EquationInstance) -> Array:
-    """[A1 ... Am] as one n x mn array (n x 0 when m = 0)."""
-    return np.hstack([np.empty((instance.n, 0)), *instance.A])
-
-
 def _lu_map(Q: Array, Ah: Array, X: Array) -> Array:
     """F(X) = Q + sum(Ai* X^-1 Ai) for any nonsingular X (LU solves).
 
@@ -220,11 +216,6 @@ def _lu_map(Q: Array, Ah: Array, X: Array) -> Array:
         Ai = Ah[..., j : j + n]
         out = out + Ai.conj().swapaxes(-1, -2) @ np.linalg.solve(X, Ai)
     return out
-
-
-def _apply_map(instance: EquationInstance, X: Array) -> Array:
-    """F(X) of one instance for any nonsingular X (LU solves)."""
-    return _lu_map(instance.Q, _coefficients(instance), X)
 
 
 def _cholesky_map(Q: Array, Ah: Array, X: Array) -> tuple[Array, Array, Array]:
@@ -250,7 +241,8 @@ def _cholesky_map(Q: Array, Ah: Array, X: Array) -> tuple[Array, Array, Array]:
 
 def _hermitian_map(instance: EquationInstance, X: Array) -> tuple[Array, Array, Array]:
     """herm(F(X)), L and G of :func:`_cholesky_map` for one instance."""
-    return _cholesky_map(instance.Q, _coefficients(instance), X)
+    Ah = np.hstack([np.empty((instance.n, 0)), *instance.A])  # [A1 ... Am], n x 0 when m = 0
+    return _cholesky_map(instance.Q, Ah, X)
 
 
 def _hermitian_norm(H: Array):

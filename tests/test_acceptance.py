@@ -45,7 +45,7 @@ from matfix.reference_values import (
     BENCHMARK4_CONDITION,
 )
 from matfix.operators import _structured_products, l_representation
-from matfix.solver import _apply_map
+from matfix.solver import _hermitian_map
 from tests.conftest import make_random_instance
 
 
@@ -137,7 +137,7 @@ def test_criterion_4_certificate_trajectory():
     ok = True
     Xt = A0.astype(complex)
     for k in range(1, 5):
-        Xt = hermitian_part(_apply_map(inst, Xt))
+        Xt = _hermitian_map(inst, Xt)[0]
         err = spectral_norm(Xt - Xref)
         back = backward_bound(inst, Xt)
         ref = BENCHMARK3_TRAJECTORY[k]

@@ -8,12 +8,11 @@ from matfix import (
     NotPositiveDefinite,
     SolveSettings,
     backward_bound,
-    hermitian_part,
     solve,
     spectral_norm,
 )
 from matfix.examples import benchmark_instance, tridiagonal_seed
-from matfix.solver import _apply_map
+from matfix.solver import _hermitian_map
 from tests.conftest import make_random_instance, solve_tight
 
 
@@ -21,7 +20,7 @@ def trajectory(instance, X0, steps):
     X = X0.astype(complex)
     out = []
     for _ in range(steps):
-        X = hermitian_part(_apply_map(instance, X))
+        X = _hermitian_map(instance, X)[0]
         out.append(X)
     return out
 
@@ -102,3 +101,49 @@ class TestBackwardBound:
         lam_min = np.linalg.eigvalsh(Xt.real).min()
         assert rep.feasible
         assert 0 < rep.theta <= lam_min / rep.residual_norm
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call is recorded; return the record."""
+    calls = []
+    wrapped = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(None) or wrapped(*a, **k))
+    return calls
+
+
+class TestOneCholeskyFactor:
+    # the certificate's R, Sigma and definiteness verdict come from one
+    # eigensolve of Xt and the solver's own Cholesky map, with no inverse
+
+    def test_no_inverse_and_one_eigensolve_per_norm(self, monkeypatch):
+        inst = benchmark_instance(1)
+        Xt = solve(inst, SolveSettings(tol=1e-12)).X
+        inv = count_calls(monkeypatch, np.linalg, "inv")
+        eig = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        backward_bound(inst, Xt)
+        # lambda_min and lambda_max of Xt, ||R||, and ||Xt^-1 Ai|| for each i
+        assert len(inv) == 0
+        assert len(eig) == 2 + inst.m == 4
+
+    def test_sigma_is_that_of_the_inverse(self, rng):
+        for _ in range(5):
+            inst = make_random_instance(rng, coeff_scale=0.45)
+            Xt = solve_tight(inst)
+            Xinv = np.linalg.inv(Xt)
+            Sigma = sum(np.linalg.norm(Xinv @ Ai, 2) ** 2 for Ai in inst.A)
+            assert backward_bound(inst, Xt).Sigma == pytest.approx(Sigma, rel=1e-12)
+
+    def test_below_the_definiteness_floor_is_not_positive_definite(self):
+        # 1e-17 is below n eps lambda_max = 1.1e-15
+        inst = benchmark_instance(1)
+        with pytest.raises(NotPositiveDefinite):
+            backward_bound(inst, np.diag([1e-17, 1.0, 1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("tiny", [1e-14, 2e-15])
+    def test_ill_conditioned_above_the_floor_is_reported(self, tiny):
+        # at 2e-15 the condition number 5e14 is above 0.1/eps, yet the Cholesky
+        # factor exists: an infeasible report, not an error
+        inst = benchmark_instance(1)
+        rep = backward_bound(inst, np.diag([tiny, 1.0, 1.0, 1.0, 1.0]))
+        assert not rep.feasible
+        assert math.isfinite(rep.Sigma) and math.isfinite(rep.residual_norm)

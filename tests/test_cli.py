@@ -464,6 +464,70 @@ class TestUsageErrors:
         assert "--seed" in out
 
 
+class TestInputErrors:
+    # each is a parse or validation failure: exit 1, one "error:" line, no output
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{tmp}/missing.json"],
+        ["solve", "{tmp}"],
+        ["analyze", "{fixtures}/example1.json", "{tmp}/missing.json"],
+        ["solve", "{fixtures}/example1.json", "--x0", "file:{tmp}/missing.json"],
+        ["solve", "{fixtures}/example1.json", "--tol", "inf"],
+        ["solve", "{fixtures}/example1.json", "--tol", "nan"],
+        ["reproduce", "1", "--tol", "inf"],
+        ["analyze", "{fixtures}/example1.json", "{tmp}/upper.json"],
+    ])
+    def test_exits_1(self, capsys, tmp_path, argv):
+        dQ = np.triu(np.full((5, 5), 1e-6))  # not Hermitian
+        (tmp_path / "upper.json").write_text(json.dumps({"n": 5, "m": 2, "dQ": {"re": dQ.tolist()}}))
+        argv = [a.format(tmp=tmp_path, fixtures=FIXTURES) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_missing_file_names_its_path(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "solve", str(tmp_path / "missing.json"))
+        assert code == 1
+        assert str(tmp_path / "missing.json") in err
+
+    def test_missing_file_in_a_fresh_interpreter(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "matfix.cli", "solve", str(tmp_path / "missing.json")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+
+class TestOnePathPerQuantity:
+    def test_raw_solve_maps_once_per_iteration(self, capsys, monkeypatch):
+        # iterations + 1 evaluations of F: the start and one per iterate; the
+        # raw residual is the iteration's own
+        from matfix import solver
+        calls = []
+        lu_map = solver._lu_map
+        monkeypatch.setattr(solver, "_lu_map", lambda *a: calls.append(None) or lu_map(*a))
+        for name in ("example4", "complex3"):
+            calls.clear()
+            code, doc, _ = run_structured(capsys, "solve", str(FIXTURES / f"{name}.json"),
+                                          "--allow-nonhermitian")
+            raw = doc["report"]["solve"]
+            assert len(calls) == raw["iterations"] + 1
+            assert raw["raw_residual_norm"] == raw["residual_norm"]
+
+    def test_reproduce_3_makes_no_inverse(self, capsys, monkeypatch):
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda *a, **k: calls.append(None) or inv(*a, **k))
+        code, out, _ = run_cli(capsys, "reproduce", "3")
+        assert code == 0
+        assert out.encode() == (GOLDENS / "reproduce_3.txt").read_bytes()
+        assert calls == []
+
+
 def _expand(pattern: str) -> set[str]:
     """Brace expansion: "a.{b,c.{d,e}}" -> {"a.b", "a.c.d", "a.c.e"}."""
     start = pattern.find("{")

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matfix import ParseError
+from matfix import NotHermitian, ParseError
 from matfix.fileio import (
     _grid,
     _grid_walk,
@@ -95,6 +95,31 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="unknown keys"):
             parse_instance(p)
 
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_file_names_path(self, tmp_path, kind):
+        p = tmp_path / "x.json"
+        if kind == "directory":
+            p.mkdir()
+        elif kind == "not_utf8":
+            p.write_bytes(b'{"n": 1, "m": 1, "Q": "\xff"}')
+        with pytest.raises(ParseError, match="cannot read") as exc:
+            parse_instance(p)
+        assert str(p) in str(exc.value)
+
+    def test_non_hermitian_dq(self, tmp_path):
+        inst = parse_instance(FIXTURES / "example1.json")
+        p = tmp_path / "d.json"
+        dQ = np.triu(np.full((5, 5), 1e-6))
+        p.write_text(json.dumps({"n": 5, "m": 2, "dQ": {"re": dQ.tolist()}}))
+        with pytest.raises(NotHermitian, match=f"{p}: dQ is not Hermitian"):
+            parse_delta(p, inst)
+
+    @pytest.mark.parametrize("name", ["delta_j7", "delta_zero"])
+    def test_fixture_deltas_are_hermitian(self, name):
+        inst = parse_instance(FIXTURES / "example1.json")
+        spec = parse_delta(FIXTURES / f"{name}.json", inst)
+        assert np.array_equal(spec.dQ, spec.dQ.conj().T)
 
 class TestDefaults:
     def test_delta_defaults_to_zero(self, tmp_path):

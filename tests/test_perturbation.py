@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from matfix import (
     xi3,
 )
 from matfix import linalg
+from matfix.fileio import parse_delta, parse_instance
 from matfix.examples import (
     benchmark2_delta_norms,
     benchmark2_deterministic_deltas,
@@ -252,6 +255,75 @@ class TestFeasibilityTable:
         feas = feasibility_table(inst, sb, bundle, PerturbationSpec.zero(inst))
         assert not feas["con2"].passed  # sum||A||^2 > beta^2 here
         assert set(feas) == {"con1", "con2", "con3", "con4", "con5", "con6"}
+
+
+def _bound_conditions(inst, sb, X, bundle, spec):
+    """{table name: (condition, evidence)} from xi1..xi3 themselves: the
+    reported ConditionValue, or the violated one's value from the error
+    (its other conditions are unknown and left out)."""
+    no_dq = PerturbationSpec(dA=spec.dA, dQ=np.zeros_like(spec.dQ))  # con2/con4 ignore dQ
+    names = {
+        "xi1": (lambda: xi1(inst, sb, spec), {"con1": "b_below_2beta_sq"}),
+        "xi2": (lambda: xi2(inst, sb, no_dq, X), {"con2": "coeff_norms_below_beta_sq",
+                                                  "con4": "perturbed_norms_below_beta_sq"}),
+        "xi3": (lambda: xi3(inst, X, bundle, spec), {"con5": "sigma_below_one",
+                                                      "con6": "eps_below_threshold"}),
+    }
+    found = {}
+    for fn, table_names in names.values():
+        try:
+            conditions = fn().conditions
+        except ConditionViolated as exc:
+            conditions = {exc.name: (exc.values[exc.name], False)}
+        for con, name in table_names.items():
+            if name in conditions:
+                found[con] = conditions[name]
+    return found
+
+
+def _same(cv, other) -> bool:
+    value, passed = (other.value, other.passed) if hasattr(other, "value") else other
+    return cv.passed == passed and (cv.value == value or (np.isnan(cv.value) and np.isnan(value)))
+
+
+class TestFeasibilityIsTheBoundsOwnConditions:
+    @pytest.mark.parametrize("example", ["example1", "example2", "example3"])
+    @pytest.mark.parametrize("delta", ["delta_j7", "delta_zero"])
+    def test_fixtures(self, example, delta):
+        fixtures = Path(__file__).parent / "fixtures"
+        inst = parse_instance(fixtures / f"{example}.json")
+        spec = parse_delta(fixtures / f"{delta}.json", inst)
+        X = solve_tight(inst)
+        sb, bundle = scalar_bounds(inst), build_bundle(inst, X)
+        table = feasibility_table(inst, sb, bundle, spec)
+        found = _bound_conditions(inst, sb, X, bundle, spec)
+        assert {"con2", "con5", "con6"} <= set(found)  # example3 violates xi1 and xi2
+        for con, evidence in found.items():
+            assert _same(table[con], evidence), con
+
+    def test_nilpotent_b_positive_case(self):
+        # xi1 and xi2 both raise here; the violated values must be the table's
+        inst = EquationInstance(A=[np.array([[0.0, 2.0], [0.0, 0.0]])], Q=np.eye(2))
+        X = solve_tight(inst)
+        sb, bundle = scalar_bounds(inst), build_bundle(inst, X)
+        spec = PerturbationSpec.zero(inst)
+        table = feasibility_table(inst, sb, bundle, spec)
+        found = _bound_conditions(inst, sb, X, bundle, spec)
+        assert {"con2", "con5", "con6"} <= set(found)
+        assert not table["con2"].passed
+        for con, evidence in found.items():
+            assert _same(table[con], evidence), con
+
+    def test_one_eigensolve_per_coefficient(self, monkeypatch):
+        inst = benchmark_instance(2)
+        X = solve_tight(inst)
+        sb, bundle = scalar_bounds(inst), build_bundle(inst, X)
+        spec = benchmark2_deterministic_deltas(7)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(None) or eigvalsh(*a, **k))
+        feasibility_table(inst, sb, bundle, spec)
+        assert len(calls) == inst.m  # ||A_i||, once each
 
 
 class TestFirstOrderDelta:

@@ -163,6 +163,11 @@ class TestSolve:
         with pytest.raises(DimensionMismatch):
             solve(inst, SolveSettings(x0=np.eye(3)))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("inf"), float("nan")])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            SolveSettings(tol=tol)
+
     def test_non_pd_x0_rejected(self):
         inst = benchmark_instance(1)
         with pytest.raises(NotPositiveDefinite):
