@@ -59,10 +59,8 @@ from .solver import (
     EquationInstance,
     SolveReport,
     SolveSettings,
-    residual,
     scalar_solution,
     solve,
-    solve_many,
     solve_stack,
     validate,
 )
@@ -110,12 +108,10 @@ __all__ = [
     "is_positive_definite",
     "membership",
     "refined_interval",
-    "residual",
     "scalar_bounds",
     "scalar_interval",
     "scalar_solution",
     "solve",
-    "solve_many",
     "solve_stack",
     "spectral_norm",
     "unvec",

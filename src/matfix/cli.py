@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -47,7 +46,6 @@ from .examples import (
     benchmark2_delta_norms,
     benchmark2_deterministic_deltas,
     benchmark2_random_directions,
-    benchmark4_symmetrized,
     benchmark_instance,
     tridiagonal_seed,
 )
@@ -80,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tol", type=float, default=None,
-                       help="residual tolerance in the spectral norm (default 1e-10)")
+                       help="residual tolerance in the spectral norm (default 1e-10; "
+                            "1e-13 for reproduce 2 and 3)")
         p.add_argument("--max-iter", type=int, default=1000)
         p.add_argument("--format", choices=["text", "structured"], default="text")
 
@@ -102,8 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="regenerate a bundled benchmark table")
     p_rep.add_argument("example", type=int, choices=[1, 2, 3, 4])
-    p_rep.add_argument("--seed", type=int, default=None,
-                       help="RNG seed; MATFIX_SEED overrides the built-in default")
+    p_rep.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     common(p_rep)
     return parser
 
@@ -112,18 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """:func:`main`'s parser, built on its first call and kept (parsing leaves it as it was)."""
     return build_parser()
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("MATFIX_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseError(f"MATFIX_SEED must be an integer, got {env!r}") from exc
-    return 0
 
 
 def _parse_x0(arg: str):
@@ -144,8 +130,11 @@ def _parse_x0(arg: str):
     raise ParseError(f"--x0 must be q | identity | scale:<c> | file:<path>, got {arg!r}")
 
 
-def _tol(args) -> float:
-    return args.tol if args.tol is not None else 1e-10
+REFERENCE_TOL = 1e-13  # default tol of the reference solves of reproduce 2 and 3
+
+
+def _tol(args, default: float = 1e-10) -> float:
+    return args.tol if args.tol is not None else default
 
 
 def _fmt(x: float) -> str:
@@ -362,8 +351,9 @@ def _reproduce_1(args, seed: int) -> tuple[dict, list[str], int]:
 
 def _reproduce_2(args, seed: int) -> tuple[dict, list[str], int]:
     instance = benchmark_instance(2)
-    fine = SolveSettings(tol=1e-13, max_iter=2000)
-    X = solve(instance, fine).X
+    fine = SolveSettings(tol=_tol(args, REFERENCE_TOL), max_iter=args.max_iter)
+    ref = solve(instance, fine)
+    X = ref.X
     norm_x = linalg.spectral_norm(X)
     sb = scalar_bounds(instance)
     bundle = build_bundle(instance, X)
@@ -373,7 +363,9 @@ def _reproduce_2(args, seed: int) -> tuple[dict, list[str], int]:
     norms = np.repeat([benchmark2_delta_norms(j) for j in BENCHMARK2_CONDITIONS], 20, axis=0)
     A = np.asarray(instance.A) + norms[:, :, None, None] * S[:, None]
     Q = np.broadcast_to(instance.Q, S.shape)
-    Xs = np.array([rep.X for rep in solve_stack(Q, A, fine)])
+    reports = solve_stack(Q, A, fine)
+    converged = ref.converged and all(rep.converged for rep in reports)
+    Xs = np.array([rep.X for rep in reports])
     errors = linalg.spectral_norm(Xs - X) / norm_x
 
     columns, measured = {}, {}
@@ -412,22 +404,23 @@ def _reproduce_2(args, seed: int) -> tuple[dict, list[str], int]:
         lines.append(f"{name:14.12s}" + "".join(f"{m[name]:>14.4e}" for m in measured.values()))
         lines.append(f"{'':14s}" + "".join(f"({c['deviations'][name]:>11.2e})"
                                            for c in columns.values()))
-    return {"columns": columns, "seed": seed}, lines, EXIT_OK
+    return {"columns": columns, "seed": seed}, lines, EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
 def _reproduce_3(args, seed: int) -> tuple[dict, list[str], int]:
     instance = benchmark_instance(3)
     A0 = tridiagonal_seed()
-    Xref = solve(instance, SolveSettings(x0=A0, tol=1e-13, max_iter=2000)).X
+    tol = _tol(args, REFERENCE_TOL)
+    ref = solve(instance, SolveSettings(x0=A0, tol=tol, max_iter=args.max_iter))
     widths = (2, 14, 14, 11, 11)
-    lines = ["benchmark 3 (trajectory from the seed matrix; reference solve tol 1e-13)",
+    lines = [f"benchmark 3 (trajectory from the seed matrix; reference solve tol {tol:g})",
              _row(widths, ("k", "error", "bound", "dev(err)", "dev(bnd)"))]
     rows = {}
     Xt = A0.astype(complex)
     for k, published in BENCHMARK3_TRAJECTORY.items():
         Xt = _hermitian_map(instance, Xt)[0]
         back = backward_bound(instance, Xt)
-        ours = {"error": linalg.spectral_norm(Xt - Xref), "bound": back.bound}
+        ours = {"error": linalg.spectral_norm(Xt - ref.X), "bound": back.bound}
         devs = _devs(ours, published)
         rows[str(k)] = {
             **ours,
@@ -437,7 +430,7 @@ def _reproduce_3(args, seed: int) -> tuple[dict, list[str], int]:
         }
         lines.append(_row(widths, (str(k), *(f"{v:.4e}" for v in ours.values()),
                                    *(f"{v:.2e}" for v in devs.values()))))
-    return {"rows": rows}, lines, EXIT_OK
+    return {"rows": rows}, lines, EXIT_OK if ref.converged else EXIT_NOT_CONVERGED
 
 
 def _reproduce_4(args, seed: int) -> tuple[dict, list[str], int]:
@@ -445,30 +438,27 @@ def _reproduce_4(args, seed: int) -> tuple[dict, list[str], int]:
     widths = (2, 10, 10, 11, 9)
     lines = ["benchmark 4 (right-hand side as published; raw iteration)",
              _row(widths, ("k", "c_rel", "published", "dev", "fallback"))]
-    rows = {}
+    rows, converged = {}, True
     for k, published in BENCHMARK4_CONDITION.items():
         instance = benchmark_instance(4, k)
         rep = solve(instance, settings, allow_nonhermitian=True)
-        substituted = not rep.converged
-        if substituted:
-            # symmetrized-Q fallback; flagged so the report is honest about it
-            instance = benchmark4_symmetrized(k)
-            rep = solve(instance, settings)
+        converged &= rep.converged
         crel = cond_real(instance, rep.X, "relative").value
         dev = _dev(crel, published)
         rows[str(k)] = {
             "c_rel": crel,
             "iterations": rep.iterations,
-            "substituted_symmetrized_q": substituted,
+            # no fallback exists: the Hermitian part of the published Q is indefinite
+            "substituted_symmetrized_q": False,
             "deviation": dev,
         }
         lines.append(_row(widths, (str(k), f"{crel:.4f}", f"{published:.4f}", f"{dev:.2e}",
-                                   str(substituted))))
-    return {"rows": rows}, lines, EXIT_OK
+                                   "False")))
+    return {"rows": rows}, lines, EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
 def _cmd_reproduce(args) -> tuple[dict, list[str], int]:
-    seed = _resolve_seed(args)
+    seed = 0 if args.seed is None else args.seed
     fn = {1: _reproduce_1, 2: _reproduce_2, 3: _reproduce_3, 4: _reproduce_4}[args.example]
     payload, lines, code = fn(args, seed)
     payload["example"] = args.example

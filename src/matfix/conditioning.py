@@ -21,8 +21,9 @@ D = M1 - M2:
 * real case: the row (rho L^-1, eta_i S) with B_i = C_i^T for
   C_i = A_i^T X^-1, so L_rep = I + sum(kron(C_i, C_i)).  At an exactly
   symmetric X, C_i^T = X^-1 A_i and a float64 bundle at X holds these
-  Grams; otherwise (a raw-mode solution, say) they are formed here,
-  without the surrogates.
+  Grams; otherwise (a raw-mode solution, say) they are formed here as
+  the bundle forms them, without the surrogates; the Anti part's G_D,i
+  are formed too and not read.
 
 On real data L^-1 = U diag(Ls^-1, La^-1) U^T in the svec/avec basis
 U = [U_s, U_a] of :mod:`matfix.operators`; S' = S maps into symmetric
@@ -166,12 +167,11 @@ def cond_real(
     if bundle is not None and len(bundle.grams) == 2 and np.array_equal(Xr, Xr.T):
         parts = bundle.grams
     else:
-        # the condition's weighted sum next to the Grams holds less than a Sym block's products
-        require_dense_budget(n, len(As), gram_parts_peak(n, len(As), True, bundle=False))
+        require_dense_budget(n, len(As), gram_parts_peak(n, len(As), True))
         Xinv = linalg.inverse(Xr)
         B = tuple((Ai.T @ Xinv).T for Ai in As)
         inverses = tuple(linalg.inverse(M) for M in real_form_blocks(B, n))  # I + sum(kron(C_i, C_i))
-        parts = gram_parts(inverses, B, n, bundle=False)
+        parts = gram_parts(inverses, B, n)
         del inverses
     (G_sym, c_sym), (G_anti, c_anti) = parts
     return _condition(instance, Xr, ((G_sym, c_sym), (G_anti[:1], c_anti[:1])), mode, "real")

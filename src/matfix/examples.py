@@ -3,7 +3,9 @@
 All four benchmarks share the 5x5 tridiagonal seed matrix with 2 on the
 diagonal and 1 off it; coefficients are scaled copies of it.  Benchmark 4
 ships with its right-hand side exactly as published, which is *not*
-symmetric; solving it verbatim requires the raw (non-Hermitian) mode.
+symmetric; solving it verbatim requires the raw (non-Hermitian) mode.  Its
+Hermitian part is indefinite (eigenvalues about -7.59, -3.75, 0.83, 7.96,
+12.55), so it admits no Hermitian-mode substitute.
 """
 
 from __future__ import annotations
@@ -69,12 +71,6 @@ def benchmark_instance(example: int, k: int = 1) -> EquationInstance:
             Q=BENCHMARK4_Q,
         )
     raise ValueError(f"example must be 1..4, got {example}")
-
-
-def benchmark4_symmetrized(k: int = 1) -> EquationInstance:
-    """Benchmark 4 with the symmetric part of its right-hand side (fallback mode)."""
-    raw = benchmark_instance(4, k)
-    return EquationInstance(A=raw.A, Q=linalg.hermitian_part(raw.Q).real)
 
 
 def benchmark2_delta_norms(j: int) -> tuple[float, float]:

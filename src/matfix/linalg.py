@@ -144,21 +144,19 @@ def definiteness_floor(n: int, lam_max):
     return n * _EPS * np.maximum(lam_max, 0.0)
 
 
-def is_positive_definite(H: Array, tol: float | None = None):
-    """True iff lambda_min(H) > tol; for a stack (..., n, n), a bool array (...).
+def is_positive_definite(H: Array):
+    """True iff lambda_min(H) > :func:`definiteness_floor`; for a stack
+    (..., n, n), a bool array (...).
 
-    ``tol`` defaults to :func:`definiteness_floor`; both extremes come from
-    one eigenvalue call.  This is the entry test for data (Q, x0, a
-    candidate solution); solver iterates are guarded by their Cholesky
-    factorization instead.
+    Both extremes come from one eigenvalue call.  This is the entry test for
+    data (Q, x0, a candidate solution); solver iterates are guarded by their
+    Cholesky factorization instead.
     """
     H = np.asarray(H)
     if H.size == 0:
         return np.ones(H.shape[:-2], dtype=bool) if H.ndim > 2 else True
     lam_min, lam_max = eig_extremes(H)
-    if tol is None:
-        tol = definiteness_floor(H.shape[-1], lam_max)
-    verdict = lam_min > tol
+    verdict = lam_min > definiteness_floor(H.shape[-1], lam_max)
     return verdict if H.ndim > 2 else bool(verdict)
 
 

@@ -138,31 +138,28 @@ def real_form_blocks(B: tuple[Array, ...], n: int) -> tuple[Array, ...]:
 
 
 def gram_parts(
-    inverses: tuple[Array, ...], B: tuple[Array, ...], n: int, bundle: bool = True
+    inverses: tuple[Array, ...], B: tuple[Array, ...], n: int
 ) -> tuple[tuple[Array, Array], ...]:
     """Per part, the stack G of scaled Gram matrices of the condition row's blocks and their scales c.
 
     ``inverses`` are those of :func:`real_form_blocks`.  A stack holds G_Q,
     then G_S,1..m and G_D,1..m of the blocks that map into the part (module
     docstring of :mod:`matfix.conditioning`): all three on complex data; on
-    real data G_Q and the G_S,i in Sym, G_Q and, for a ``bundle``, the G_D,i
-    in Anti (the real case's own Grams keep the Anti part's G_Q alone).  The
-    rows of L^-1 are dropped part by part: the first-order change uses the
-    L-solve (:func:`matfix.perturbation.first_order_delta`: tolerance 1e-14,
-    at most 1000 products of L or until GMRES stagnates, then a backward
-    error of at most 1e-14, else :class:`SingularOperator`).
+    real data G_Q and the G_S,i in Sym, G_Q and the G_D,i in Anti (the real
+    case's condition number reads the Anti part's G_Q alone).  The rows of
+    L^-1 are dropped part by part: the first-order change uses the L-solve
+    (:func:`matfix.perturbation.first_order_delta`: tolerance 1e-14, at most
+    1000 products of L or until GMRES stagnates, then a backward error of at
+    most 1e-14, else :class:`SingularOperator`).
     """
     real, m = len(inverses) == 2, len(B)
     parts = []
     for inv, anti in zip(inverses, (False, True)):
-        # runs of m blocks: S' and D' on complex data; S in Sym, and D in Anti for a bundle
-        runs = 2 if not real else int(not anti or bundle)
-        k, K = inv.shape[0], 1 + runs * m
+        # runs of m blocks: S' and D' on complex data; S in Sym and D in Anti on real data
+        k, K = inv.shape[0], 1 + (1 if real else 2) * m
         G, c = np.empty((K, k, k)), np.empty(K)
         c[0] = linalg.scaled_gram(inv, out=G[0])[1]
         parts.append((G, c))
-        if K == 1:
-            continue
         rows = linalg.sym_anti_rows(inv, n, anti) if real else linalg.complex_form(inv, n)
         for i, Bi in enumerate(B):
             M1, M2 = _structured_products(rows, Bi)
@@ -183,9 +180,10 @@ def gram_parts(
     return tuple(parts)
 
 
-def gram_parts_peak(n: int, m: int, real: bool, bundle: bool = True) -> int:
+def gram_parts_peak(n: int, m: int, real: bool) -> int:
     """float64 entries alive at the peak of forming the blocks of L_rep,
-    inverting them and :func:`gram_parts`: the dense work of :func:`build_bundle`.
+    inverting them and :func:`gram_parts`: the dense work of :func:`build_bundle`,
+    and of :func:`matfix.conditioning.cond_real` without a bundle.
 
     Complex data, in n^4 units: L_rep and one complex term (4); R^-1, the
     2m+1 Grams, the complex rows (2) and one B_i's two complex products
@@ -199,9 +197,9 @@ def gram_parts_peak(n: int, m: int, real: bool, bundle: bool = True) -> int:
     if not real:
         return (2 * m + 8) * n**4
     s, a, N = split_orders(n)
-    sym, anti, inv = (1 + m) * s * s, (1 + m * bundle) * a * a, s * s + a * a
+    sym, anti, inv = (1 + m) * s * s, (1 + m) * a * a, s * s + a * a
     blocks = max(2 * N * N, N * N + s * s + 3 * a * a, 4 * s * s + a * a, 2 * s * s + 4 * a * a)
-    grams = max(inv + sym + 3 * s * N, inv + sym + anti + (3 * a * N if bundle else a * a))
+    grams = max(inv + sym + 3 * s * N, inv + sym + anti + 3 * a * N)
     return max(blocks, grams)
 
 

@@ -13,8 +13,14 @@ F(X) = Q + sum(Gi* Gi), so every iterate is Q plus a positive semidefinite
 term.  Every solve with L or L* is a triangular solve
 (:func:`linalg.solve_triangular`), which above order 64 factors only
 diagonal blocks.  Q itself is certified at entry by the eigenvalue test of
-:func:`linalg.is_positive_definite`.  F is evaluated only by this map,
-:func:`_cholesky_map` (the backward error's too), and raw mode's :func:`_lu_map`.
+:func:`linalg.is_positive_definite`.  F is evaluated by this map,
+:func:`_cholesky_map` (the backward error's too), by raw mode's
+:func:`_lu_map`, and at Q alone by :func:`matfix.bounds.coarse_interval`,
+whose upper end F(Q) comes from Q's LU inverse.  That second route stays
+because it is the cheaper one: at n=128, m=2, Q = I, ||Ai|| = 0.3 (the
+perfbench solve-mild instance, where ``matfix solve`` forms the interval),
+the Cholesky map took 3.6 ms and ``coarse_interval`` 2.8 ms (median of 200
+interleaved calls, one BLAS thread, 2-CPU Xeon).
 
 When the observed residual ratio shows slow contraction, :func:`solve`
 switches to inexact Newton steps.  The Jacobian of X - F(X) is the
@@ -25,14 +31,13 @@ residual; the monotone-Newton argument of Guo & Lancaster does not carry
 over to this minus equation, so Newton starts only inside its basin.
 
 :func:`solve_stack` runs this one loop over stacked equations that share n
-and m, each member's arithmetic that of a lone :func:`solve`; ``solve`` and
-:func:`solve_many` stack their instances for it.
+and m, each member's arithmetic that of a lone :func:`solve`, which is a
+stack of one.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -345,31 +350,13 @@ def solve(
 ) -> SolveReport:
     """Solve by the fixed-point iteration, finished by Newton steps when it is slow.
 
-    A batch of one: see :func:`solve_stack` for the iteration, its Newton and
+    A stack of one: see :func:`solve_stack` for the iteration, its Newton and
     restart trials, raw mode and the errors raised.
     """
-    return solve_many((instance,), settings, allow_nonhermitian=allow_nonhermitian)[0]
-
-
-def solve_many(
-    instances: Iterable[EquationInstance],
-    settings: SolveSettings | None = None,
-    *,
-    allow_nonhermitian: bool = False,
-) -> list[SolveReport]:
-    """:func:`solve_stack` on the stacked data of instances that share n and m;
-    a member of other shapes raises :class:`DimensionMismatch` naming it."""
-    instances = tuple(instances)
-    if not instances:
-        return []
-    shapes = [(inst.Q.shape, [Ai.shape for Ai in inst.A]) for inst in instances]
-    for i, shape in enumerate(shapes):
-        if shape != shapes[0]:
-            raise DimensionMismatch(f"instance {i}: shapes {shape} unlike instance 0's {shapes[0]}")
-    if len(set(shapes[0][1])) != 1:  # m = 0 or A_i of several shapes: validate names the fault
-        validate(instances[0])
-    Q, A = np.stack([inst.Q for inst in instances]), np.array([inst.A for inst in instances])
-    return solve_stack(Q, A, settings, allow_nonhermitian=allow_nonhermitian)
+    if len({Ai.shape for Ai in instance.A}) != 1:  # m = 0 or A_i of several shapes
+        validate(instance)  # names the fault
+    return solve_stack(instance.Q[None], np.array(instance.A)[None], settings,
+                       allow_nonhermitian=allow_nonhermitian)[0]
 
 
 def solve_stack(
@@ -552,25 +539,6 @@ def solve_stack(
                         converged=res_i < settings.tol, history=tuple(histories[i]),
                         newton_steps=phases.get(i, _Member()).newton_steps)
             for i, (Xi, res_i, its) in enumerate(finished)]
-
-
-def residual(instance: EquationInstance, X: Array) -> tuple[Array, float]:
-    """Hermitian-part residual R(X) = herm(F(X)) - X and its spectral norm.
-
-    R is Hermitian by storage, computed through the same Cholesky map as
-    :func:`solve`, so ``residual(instance, report.X)[1]`` measures what
-    ``report.residual_norm`` does.  X must be positive definite.
-    """
-    X = linalg.as_matrix(X, name="X")
-    H = linalg.hermitian_part(X)
-    if not linalg.is_positive_definite(H):
-        raise NotPositiveDefinite("residual requires a positive definite X")
-    try:
-        FH = _hermitian_map(instance, H)[0]
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"residual requires a positive definite X: {exc}") from exc
-    R = FH - H
-    return R, _hermitian_norm(R)
 
 
 def scalar_solution(a: list[complex] | tuple[complex, ...], q: float) -> float:

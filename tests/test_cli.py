@@ -250,19 +250,15 @@ class TestCachedParser:
     EX1 = str(FIXTURES / "example1.json")
 
     @pytest.mark.parametrize("calls", [
-        [(("solve", EX1, "--tol", "1e-8"), None),
-         (("solve", EX1, "--format", "structured", "--x0", "identity"), None),
-         (("solve", EX1, "--x0", "scale:2", "--tol", "1e-12", "--format", "text"), None)],
-        [(("reproduce", "2", "--seed", "5"), None), (("reproduce", "2"), "7")],
-        [(("solve",), None), (("solve", EX1), None)],
-        [(("--help",), None), (("reproduce", "1"), None)],
+        [("solve", EX1, "--tol", "1e-8"),
+         ("solve", EX1, "--format", "structured", "--x0", "identity"),
+         ("solve", EX1, "--x0", "scale:2", "--tol", "1e-12", "--format", "text")],
+        [("reproduce", "2", "--seed", "5"), ("reproduce", "2")],
+        [("solve",), ("solve", EX1)],
+        [("--help",), ("reproduce", "1")],
     ], ids=["options", "seed", "usage-error", "help"])
-    def test_later_calls_print_as_first_calls(self, capsys, monkeypatch, calls):
-        def call(argv, seed):
-            if seed is None:
-                monkeypatch.delenv("MATFIX_SEED", raising=False)
-            else:
-                monkeypatch.setenv("MATFIX_SEED", seed)
+    def test_later_calls_print_as_first_calls(self, capsys, calls):
+        def call(argv):
             code, out, err = run_cli(capsys, *argv)
             if "structured" in argv:
                 doc = json.loads(out)
@@ -271,12 +267,12 @@ class TestCachedParser:
             return code, out, err
 
         first = []
-        for argv, seed in calls:
+        for argv in calls:
             cli._parser.cache_clear()
-            first.append(call(argv, seed))
+            first.append(call(argv))
         assert len({out for _, out, _ in first}) == len(calls)
         cli._parser.cache_clear()
-        assert [call(argv, seed) for argv, seed in calls] == first
+        assert [call(argv) for argv in calls] == first
         assert cli._parser.cache_info().misses == 1  # one parser served the sequence
 
 
@@ -295,6 +291,12 @@ class TestAnalyzeCommand:
         assert doc["report"]["condition"]["case"] == "complex"
         assert doc["report"]["first_order"]["frobenius_norm"] > 0
         assert doc["report"]["backward"]["feasible"] is True
+
+    def test_nonconvergence_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "analyze", str(FIXTURES / "example1.json"),
+                                 str(FIXTURES / "delta_j7.json"), "--max-iter", "1")
+        assert code == 2 and err == ""
+        assert out.startswith("solve did not converge within 1 iterations (residual ")
 
     def test_zero_delta(self, capsys):
         code, doc, _ = run_structured(
@@ -398,12 +400,33 @@ class TestReproduceCommand:
         doc1.pop("wall_clock_s"), doc2.pop("wall_clock_s")
         assert doc1 == doc2
 
-    def test_example2_seed_env_override(self, capsys, monkeypatch):
+    def test_example2_default_seed_is_0(self, capsys, monkeypatch):
+        # --seed, else 0: the environment is not read
         monkeypatch.setenv("MATFIX_SEED", "7")
-        _, doc_env, _ = run_structured(capsys, "reproduce", "2")
-        monkeypatch.delenv("MATFIX_SEED")
-        _, doc_flag, _ = run_structured(capsys, "reproduce", "2", "--seed", "7")
-        assert doc_env["report"] == doc_flag["report"]
+        _, doc_default, _ = run_structured(capsys, "reproduce", "2")
+        _, doc_zero, _ = run_structured(capsys, "reproduce", "2", "--seed", "0")
+        assert doc_default["report"] == doc_zero["report"]
+
+    def test_examples_2_and_3_read_tol_and_max_iter(self, capsys):
+        code, out, _ = run_cli(capsys, "reproduce", "3", "--tol", "1e-3")
+        assert code == 0
+        assert out.startswith("benchmark 3 (trajectory from the seed matrix; reference solve tol 0.001)")
+        assert out.encode() != (GOLDENS / "reproduce_3.txt").read_bytes()
+        code, out, err = run_cli(capsys, "reproduce", "2", "--tol", "inf")
+        assert (code, out, err) == (1, "", "error: tol must be positive and finite\n")
+        for k in ("2", "3"):
+            code, out, _ = run_cli(capsys, "reproduce", k, "--max-iter", "2")
+            assert code == 2 and out.startswith(f"benchmark {k} (")
+
+    def test_example4_nonconvergence_exit_2(self, capsys):
+        # the raw solves stop unconverged; the table is still printed, and
+        # there is no symmetrized-Q fallback to substitute
+        code, out, err = run_cli(capsys, "reproduce", "4", "--max-iter", "2")
+        assert code == 2 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "benchmark 4 (right-hand side as published; raw iteration)"
+        assert [line.split()[0] for line in lines[2:]] == ["1", "3", "5", "7", "9"]
+        assert all(line.endswith(" False") for line in lines[2:])
 
     def test_example3_rows(self, capsys):
         code, doc, _ = run_structured(capsys, "reproduce", "3")
@@ -415,10 +438,9 @@ class TestReproduceCommand:
         assert rows["1"]["bound"] == pytest.approx(5.1435e-4, rel=1e-3)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_text_byte_identical_to_golden(self, capsys, monkeypatch, k):
+    def test_text_byte_identical_to_golden(self, capsys, k):
         # the published tables are the output contract: every printed digit
         # and the exit code must stay as recorded in tests/goldens/
-        monkeypatch.delenv("MATFIX_SEED", raising=False)
         code, out, _ = run_cli(capsys, "reproduce", str(k))
         assert code == 0
         assert out.encode() == (GOLDENS / f"reproduce_{k}.txt").read_bytes()
@@ -622,8 +644,7 @@ class TestStructuredSchema:
             "report.xi3.{feasible,relative_bound,absolute_bound}", _XI3_FEASIBLE,
         ]),
     ])
-    def test_key_paths(self, capsys, monkeypatch, argv, code, patterns):
-        monkeypatch.delenv("MATFIX_SEED", raising=False)
+    def test_key_paths(self, capsys, argv, code, patterns):
         argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
         got_code, doc, _ = run_structured(capsys, *argv)
         assert got_code == code

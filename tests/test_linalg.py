@@ -168,19 +168,22 @@ class TestEigExtremes:
             H = hermitian_part(G)
             lo, hi = eig_extremes(H)
             eps = 1e-12 * max(abs(lo), abs(hi), 1.0)
-            assert is_positive_definite(H - lo * np.eye(4) + eps * np.eye(4), tol=0.0)
-            assert is_positive_definite(hi * np.eye(4) - H + eps * np.eye(4), tol=0.0)
+            assert eig_extremes(H - lo * np.eye(4) + eps * np.eye(4))[0] > 0.0
+            assert eig_extremes(hi * np.eye(4) - H + eps * np.eye(4))[0] > 0.0
 
 
 class TestIsPositiveDefinite:
     def test_identity(self):
-        assert is_positive_definite(np.eye(3), tol=0.0)
+        assert is_positive_definite(np.eye(3))
 
     def test_indefinite(self):
-        assert not is_positive_definite(np.diag([1.0, -1.0]), tol=0.0)
+        assert not is_positive_definite(np.diag([1.0, -1.0]))
 
     def test_below_tolerance(self):
-        assert not is_positive_definite(np.diag([1e-14, 1.0]), tol=1e-12)
+        # the floor is n eps lambda_max: 2 eps here
+        eps = np.finfo(float).eps
+        assert not is_positive_definite(np.diag([2 * eps, 1.0]))
+        assert is_positive_definite(np.diag([4 * eps, 1.0]))
 
     def test_default_tolerance_scales(self):
         # scaled identity stays PD under the default relative tolerance

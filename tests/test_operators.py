@@ -361,8 +361,8 @@ class TestDenseBudget:
     @pytest.mark.parametrize("call", ["build_bundle", "cond_real"])
     def test_refused_before_allocating(self, call):
         # n = 100: L_rep alone would be 0.8 GB in float64.  On real data the
-        # peak of build_bundle is an Anti-part block next to all Grams, that
-        # of cond_real's own Grams a Sym-part block
+        # peak of build_bundle, and of cond_real's own Grams, which are the
+        # bundle's, is an Anti-part block next to all Grams
         n = 100
         s, a, N = n * (n + 1) // 2, n * (n - 1) // 2, n * n
         inst = EquationInstance(A=[np.zeros((n, n))], Q=np.eye(n))
@@ -381,10 +381,8 @@ class TestDenseBudget:
         message = str(info.value)
         assert "n=100" in message and "m=1" in message
         assert str(DENSE_BUDGET_BYTES) in message
-        if call == "build_bundle":  # Ls^-1, La^-1, 2(s^2 + a^2) Grams, the Anti rows and two products
-            expected = s * s + a * a + 2 * (s * s + a * a) + 3 * a * N
-        else:  # Ls^-1, La^-1, the 2 Sym Grams, the rows U_s^T L^-1 and the two products
-            expected = s * s + a * a + 2 * s * s + 3 * s * N
+        # Ls^-1, La^-1, 2(s^2 + a^2) Grams, the Anti rows and two products
+        expected = s * s + a * a + 2 * (s * s + a * a) + 3 * a * N
         assert f"{expected * 8} B" in message
 
     @pytest.mark.parametrize("complex_data", [False, True])
@@ -436,8 +434,9 @@ class TestDenseBudget:
     def test_condition_counts_its_peak(self, rng, monkeypatch, call):
         # the count is every float64 entry alive at the peak of the call, on
         # top of the bundle: the weighted sum of the largest part and its
-        # eigensolver copy; without a usable bundle, cond_real's own Grams:
-        # Ls^-1, La^-1, the m+1 Sym Grams and one block's rows and products
+        # eigensolver copy; without a usable bundle, cond_real's own Grams, as
+        # build_bundle forms them: Ls^-1, La^-1, the (m+1)(s^2 + a^2) Grams
+        # and the last B_i's Anti rows and two products
         n, m = 12, 2
         s, a, N = n * (n + 1) // 2, n * (n - 1) // 2, n * n
         inst = make_random_instance(rng, n=n, m=m, complex_data=call == "complex data")
@@ -453,7 +452,7 @@ class TestDenseBudget:
         elif call in ("real data", "real"):
             counted = 2 * s * s
         else:
-            counted = s * s + a * a + (m + 1) * s * s + 3 * s * N
+            counted = s * s + a * a + (m + 1) * (s * s + a * a) + 3 * a * N
         counted *= 8
 
         def run():

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import matfix
 from matfix import (
     DimensionMismatch,
     EquationInstance,
@@ -13,11 +14,10 @@ from matfix import (
     SingularIterate,
     SolveSettings,
     ValidationError,
+    backward_bound,
     is_positive_definite,
-    residual,
     scalar_solution,
     solve,
-    solve_many,
     solve_stack,
     spectral_norm,
     validate,
@@ -168,6 +168,16 @@ class TestSolve:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             SolveSettings(tol=tol)
 
+    @pytest.mark.parametrize("allow_nonhermitian", [False, True])
+    def test_coefficient_shapes_checked_before_stacking(self, allow_nonhermitian):
+        # A_i of several shapes, or none, cannot be stacked: validate names the fault
+        cases = [(EquationInstance(A=[np.eye(5), np.eye(4)], Q=np.eye(5)),
+                  r"A\[1\] has shape \(4, 4\), expected \(5, 5\)"),
+                 (EquationInstance(A=[], Q=np.eye(5)), "need at least one coefficient matrix")]
+        for inst, message in cases:
+            with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+                solve(inst, allow_nonhermitian=allow_nonhermitian)
+
     def test_non_pd_x0_rejected(self):
         inst = benchmark_instance(1)
         with pytest.raises(NotPositiveDefinite):
@@ -191,8 +201,7 @@ class TestSolve:
         inst = make_random_instance(rng, n=4, m=5, coeff_scale=0.6)
         rep = solve(inst, SolveSettings(tol=1e-11))
         assert rep.converged
-        _, norm = residual(inst, rep.X)
-        assert norm < 1e-11
+        assert backward_bound(inst, rep.X).residual_norm < 1e-11
 
     def test_integer_input_coercion(self):
         inst = EquationInstance(A=[[[0, 1], [0, 0]]], Q=[[2, 0], [0, 2]])
@@ -264,14 +273,16 @@ class TestSolve:
 
 
 class TestResidual:
+    """The residual of the backward-error certificate,
+    ``backward_bound(instance, X).residual_norm``, at any positive definite X."""
+
     def test_exact_scalar_solution(self):
         inst = EquationInstance(A=[np.array([[1.0]]), np.array([[1.0]])], Q=np.array([[1.0]]))
-        _, norm = residual(inst, np.array([[2.0]]))
-        assert norm <= 1e-14
+        assert backward_bound(inst, np.array([[2.0]])).residual_norm <= 1e-14
 
     def test_residual_at_q(self):
         inst = benchmark_instance(1)
-        _, norm = residual(inst, inst.Q)
+        norm = backward_bound(inst, inst.Q).residual_norm
         expected = spectral_norm(
             sum(Ai.conj().T @ np.linalg.solve(inst.Q, Ai) for Ai in inst.A)
         )
@@ -280,20 +291,19 @@ class TestResidual:
     def test_rejects_non_pd(self):
         inst = benchmark_instance(1)
         with pytest.raises(NotPositiveDefinite):
-            residual(inst, -np.eye(5))
+            backward_bound(inst, -np.eye(5))
 
     def test_matches_solver_residual(self, rng):
         inst = make_random_instance(rng, n=12, m=3)
         rep = solve(inst)
-        _, norm = residual(inst, rep.X)
+        norm = backward_bound(inst, rep.X).residual_norm
         eps = np.finfo(float).eps
         assert abs(norm - rep.residual_norm) <= 100 * 12 * eps * spectral_norm(rep.X)
 
     def test_converged_residual_below_tol(self, rng):
         inst = make_random_instance(rng)
         rep = solve(inst, SolveSettings(tol=1e-11))
-        _, norm = residual(inst, rep.X)
-        assert norm < 1e-11
+        assert backward_bound(inst, rep.X).residual_norm < 1e-11
 
 
 def gaussian_instance(seed, n, m, norm):
@@ -515,7 +525,14 @@ class TestHybridSolver:
         assert rep.newton_steps <= 10
 
 
+def stacks(batch):
+    """The Q (k, n, n) and A (k, m, n, n) stacks of a batch of instances."""
+    return np.array([inst.Q for inst in batch]), np.array([inst.A for inst in batch])
+
+
 class TestSolveMany:
+    """Several instances of one shape, stacked and solved by one solve_stack call."""
+
     @pytest.mark.parametrize(
         "settings",
         [SolveSettings(), SolveSettings(tol=1e-13, max_iter=2000), SolveSettings(x0=2.0, max_iter=40)],
@@ -525,7 +542,7 @@ class TestSolveMany:
         # members leave the stacks at different iterations
         batch = [benchmark_instance(1), gaussian_instance(1, 5, 2, 0.3),
                  gaussian_instance(2, 5, 2, 30.0)]
-        reports = solve_many(batch, settings)
+        reports = solve_stack(*stacks(batch), settings)
         lone = [solve(inst, settings) for inst in batch]
         assert lone[2].newton_steps > 0
         assert len({rep.iterations for rep in lone}) == 3
@@ -538,7 +555,7 @@ class TestSolveMany:
         batch = [gaussian_instance(3, 5, 1, 0.3),
                  EquationInstance(A=[0.1 * np.eye(5)], Q=np.diag([1e-12, 1, 1, 1, 1]))]
         settings = SolveSettings(max_iter=200)
-        reports = solve_many(batch, settings)
+        reports = solve_stack(*stacks(batch), settings)
         assert reports[1].converged and reports[1].newton_steps > 0
         for got, inst in zip(reports, batch):
             assert_same_report(got, solve(inst, settings))
@@ -546,21 +563,9 @@ class TestSolveMany:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_raw_batch_equals_lone_solves(self, k):
         batch = [benchmark_instance(4, j) for j in range(1, k + 1)]
-        reports = solve_many(batch, SolveSettings(), allow_nonhermitian=True)
+        reports = solve_stack(*stacks(batch), SolveSettings(), allow_nonhermitian=True)
         for got, inst in zip(reports, batch):
             assert_same_report(got, solve(inst, SolveSettings(), allow_nonhermitian=True))
-
-    def test_empty_batch(self):
-        assert solve_many([]) == []
-
-    @pytest.mark.parametrize("allow_nonhermitian", [False, True])
-    def test_mixed_shapes_rejected(self, allow_nonhermitian):
-        batch = [benchmark_instance(1), EquationInstance(A=[np.eye(4)] * 2, Q=np.eye(4))]
-        with pytest.raises(DimensionMismatch, match="instance 1"):
-            solve_many(batch, allow_nonhermitian=allow_nonhermitian)
-        batch[1] = EquationInstance(A=[np.eye(5)], Q=np.eye(5))  # m = 1 against m = 2
-        with pytest.raises(DimensionMismatch, match="instance 1"):
-            solve_many(batch, allow_nonhermitian=allow_nonhermitian)
 
     def test_invalid_member_named(self):
         good = benchmark_instance(1)
@@ -573,10 +578,10 @@ class TestSolveMany:
         ]
         for bad, error, message in cases:
             with pytest.raises(error) as exc:
-                solve_many([good, bad, good])
+                solve_stack(*stacks([good, bad, good]))
             assert str(exc.value) == message
-            with pytest.raises(error) as exc:  # a batch of one reads as validate
-                solve_many([bad])
+            with pytest.raises(error) as exc:  # a lone solve reads as validate
+                solve(bad)
             assert str(exc.value) == message.removeprefix("instance 1: ")
 
     def test_factor_failure_names_the_member(self, monkeypatch):
@@ -595,13 +600,8 @@ class TestSolveMany:
         A = benchmark_instance(1).A
         batch = [EquationInstance(A=A, Q=np.eye(5)), EquationInstance(A=A, Q=100 * np.eye(5))]
         with pytest.raises(SingularIterate, match="^instance 1: iterate 2 lost positive definiteness$"):
-            solve_many(batch)
+            solve_stack(*stacks(batch))
         assert len(calls) == 5  # start, iterate 1, iterate 2 stacked, then each member alone
-
-
-def stacks(batch):
-    """The Q (k, n, n) and A (k, m, n, n) stacks of a batch of instances."""
-    return np.array([inst.Q for inst in batch]), np.array([inst.A for inst in batch])
 
 
 class TestSolveStack:
@@ -618,7 +618,7 @@ class TestSolveStack:
     @pytest.mark.parametrize(
         "settings", [SolveSettings(max_iter=200), SolveSettings(tol=1e-13, max_iter=2000)]
     )
-    def test_equals_solve_many_and_lone_solves(self, settings, monkeypatch):
+    def test_equals_lone_solves(self, settings, monkeypatch):
         restarts = []
         geometric_mean = solver_module._geometric_mean
         monkeypatch.setattr(solver_module, "_geometric_mean",
@@ -628,15 +628,7 @@ class TestSolveStack:
         lone = [solve(inst, settings) for inst in self.BATCH]
         assert len({rep.iterations for rep in lone}) >= 3
         assert lone[2].newton_steps > 0 and lone[0].newton_steps == 0
-        for got, many, ref in zip(reports, solve_many(self.BATCH, settings), lone):
-            assert_same_report(got, many)
-            assert_same_report(got, ref)
-
-    def test_raw_equals_solve_many(self):
-        batch = [benchmark_instance(4, k) for k in range(1, 5)]
-        reports = solve_stack(*stacks(batch), allow_nonhermitian=True)
-        many = solve_many(batch, allow_nonhermitian=True)
-        for got, ref in zip(reports, many):
+        for got, ref in zip(reports, lone):
             assert_same_report(got, ref)
 
     def test_empty_stack(self):
@@ -690,3 +682,8 @@ class TestSolveStack:
         monkeypatch.setattr(solver_module, "BATCH_BUDGET_BYTES", nbytes // 3 - 1)
         with pytest.raises(OperatorTooLarge, match="k=1 solves"):
             solve(benchmark_instance(1))  # a lone solve is a stack of one
+
+
+def test_public_names_resolve():
+    missing = [name for name in matfix.__all__ if not hasattr(matfix, name)]
+    assert missing == []
