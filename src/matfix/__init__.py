@@ -40,9 +40,6 @@ from .linalg import (
     inverse,
     is_positive_definite,
     spectral_norm,
-    unvec,
-    vec,
-    vec_permutation,
 )
 from .operators import OperatorBundle, build_bundle
 from .perturbation import (
@@ -59,7 +56,6 @@ from .solver import (
     EquationInstance,
     SolveReport,
     SolveSettings,
-    scalar_solution,
     solve,
     solve_stack,
     validate,
@@ -110,14 +106,10 @@ __all__ = [
     "refined_interval",
     "scalar_bounds",
     "scalar_interval",
-    "scalar_solution",
     "solve",
     "solve_stack",
     "spectral_norm",
-    "unvec",
     "validate",
-    "vec",
-    "vec_permutation",
     "xi1",
     "xi2",
     "xi3",

@@ -103,27 +103,24 @@ def scalar_interval(instance: EquationInstance, sb: ScalarBounds) -> MatrixInter
 
 
 def default_membership_tolerance(interval: MatrixInterval) -> float:
-    """n eps ||upper||_2: the slack :func:`membership` uses when it is given none."""
+    """n eps ||upper||_2: a :func:`membership` slack for exact-arithmetic checks."""
     n = np.asarray(interval.upper).shape[0]
     return n * float(np.finfo(float).eps) * linalg.spectral_norm(interval.upper)
 
 
-def membership(X: Array, interval: MatrixInterval, tol: float | None = None) -> bool:
+def membership(X: Array, interval: MatrixInterval, tol: float) -> bool:
     """True only if lambda_min(X - lower) > -tol and lambda_min(upper - X) > -tol.
 
     Each half is a Cholesky certificate (:func:`linalg.certify_psd` on the
     Hermitian part of the difference, shifted by tol), not an eigenvalue
     estimate: True proves the strict inequalities up to the certificate's
     rounding margin, and costs two Cholesky factorizations and no
-    eigensolve.  The default slack n*eps*||upper|| suits exact-arithmetic
-    checks (its spectral norm is the one eigensolve); callers holding an
-    iteratively computed X should pass a slack tied to the solve residual
-    instead.
+    eigensolve.  Exact-arithmetic checks can pass
+    :func:`default_membership_tolerance`; callers holding an iteratively
+    computed X should pass a slack tied to the solve residual.
     """
     X = np.asarray(X)
     if X.shape != np.asarray(interval.lower).shape:
         raise ValueError("dimension mismatch between X and interval")
-    if tol is None:
-        tol = default_membership_tolerance(interval)
     return (linalg.certify_psd(linalg.hermitian_part(X - interval.lower), tol)
             and linalg.certify_psd(linalg.hermitian_part(interval.upper - X), tol))

@@ -141,12 +141,12 @@ def _fmt(x: float) -> str:
     return f"{x:.4e}"
 
 
-def _matrix_lines(M, indent: str = "  ") -> list[str]:
+def _matrix_lines(M) -> list[str]:
     M = np.asarray(M)
     if np.iscomplexobj(M) and np.any(M.imag != 0.0):
-        return [indent + "  ".join(f"{re:+.10e}{im:+.10e}j" for re, im in zip(rr, ri))
+        return ["  " + "  ".join(f"{re:+.10e}{im:+.10e}j" for re, im in zip(rr, ri))
                 for rr, ri in zip(M.real.tolist(), M.imag.tolist())]
-    return [indent + "  ".join(f"{v:+.10e}" for v in row) for row in M.real.tolist()]
+    return ["  " + "  ".join(f"{v:+.10e}" for v in row) for row in M.real.tolist()]
 
 
 # ---------------------------------------------------------------- solve ----

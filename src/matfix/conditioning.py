@@ -19,11 +19,9 @@ D = M1 - M2:
   with S' = Re S + Im S, D' = Re D - Im D dominates: one part, with
   G_Q = R^-1 R^-T, G_S,i = S' S'^T and G_D,i = D' D'^T;
 * real case: the row (rho L^-1, eta_i S) with B_i = C_i^T for
-  C_i = A_i^T X^-1, so L_rep = I + sum(kron(C_i, C_i)).  At an exactly
-  symmetric X, C_i^T = X^-1 A_i and a float64 bundle at X holds these
-  Grams; otherwise (a raw-mode solution, say) they are formed here as
-  the bundle forms them, without the surrogates; the Anti part's G_D,i
-  are formed too and not read.
+  C_i = A_i^T X^-1, so L_rep = I + sum(kron(C_i, C_i)).  These B_i are
+  X^-T A_i, those of the bundle at X^T, which at an exactly symmetric X
+  is the bundle at X; the Anti part's G_D,i are not read.
 
 On real data L^-1 = U diag(Ls^-1, La^-1) U^T in the svec/avec basis
 U = [U_s, U_a] of :mod:`matfix.operators`; S' = S maps into symmetric
@@ -64,13 +62,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotReal
-from .operators import (
-    OperatorBundle,
-    gram_parts,
-    gram_parts_peak,
-    real_form_blocks,
-    require_dense_budget,
-)
+from .operators import OperatorBundle, build_bundle, require_dense_budget
 from .solver import EquationInstance, SolveSettings, solve_stack
 
 Array = np.ndarray
@@ -155,25 +147,18 @@ def cond_real(
     """Condition number for real data via the real-case block construction.
 
     The formula is applied with C_i = A_i^T X^-1 exactly as written, so it
-    also accepts a nonsymmetric real X from a raw-mode solve.  A ``bundle``
-    built at X is reused when it is float64 and X is exactly symmetric:
-    its Grams are then the real case's, up to rounding.  The real case
-    drops the D-blocks: the Sym part whole, the Anti part's G_Q alone.
+    also accepts a nonsymmetric real X from a raw-mode solve: its Grams are
+    those of :func:`matfix.operators.build_bundle` on the real data at X^T.
+    A ``bundle`` built at X is reused when it is float64 and X is exactly
+    symmetric, so that X^T = X.  The real case drops the D-blocks: the Sym
+    part whole, the Anti part's G_Q alone.
     """
-    n = instance.n
     Xr = _require_real(X, "X")
-    _require_real(instance.Q, "Q")
+    Qr = _require_real(instance.Q, "Q")
     As = [_require_real(Ai, f"A[{i}]") for i, Ai in enumerate(instance.A)]
-    if bundle is not None and len(bundle.grams) == 2 and np.array_equal(Xr, Xr.T):
-        parts = bundle.grams
-    else:
-        require_dense_budget(n, len(As), gram_parts_peak(n, len(As), True))
-        Xinv = linalg.inverse(Xr)
-        B = tuple((Ai.T @ Xinv).T for Ai in As)
-        inverses = tuple(linalg.inverse(M) for M in real_form_blocks(B, n))  # I + sum(kron(C_i, C_i))
-        parts = gram_parts(inverses, B, n)
-        del inverses
-    (G_sym, c_sym), (G_anti, c_anti) = parts
+    if bundle is None or len(bundle.grams) != 2 or not np.array_equal(Xr, Xr.T):
+        bundle = build_bundle(EquationInstance(As, Qr), Xr.T)
+    (G_sym, c_sym), (G_anti, c_anti) = bundle.grams
     return _condition(instance, Xr, ((G_sym, c_sym), (G_anti[:1], c_anti[:1])), mode, "real")
 
 
@@ -221,7 +206,6 @@ def cond_fd_oracle(
     seed: int = 0,
     case: str | None = None,
     allow_nonhermitian: bool = False,
-    solve_tol: float = 1e-12,
 ) -> float:
     """Monte-Carlo lower estimate of the condition number by finite differences.
 
@@ -231,13 +215,13 @@ def cond_fd_oracle(
     ||dX||_F/(xi * delta) to remove the O(step) bias.  The maximum over
     trials approaches the condition number from below as trials grow.  The
     2 * ``trials`` perturbed equations are solved as one batch, warm-started
-    from X.
+    from X, to residual 1e-12 within 5000 iterations.
     """
     X = np.asarray(X, dtype=complex)
     xi, rho, etas = _weights(instance, X, mode)
     real_case = case == "real" if case is not None else _is_real_instance(instance)
     settings = SolveSettings(x0=X if allow_nonhermitian else linalg.hermitian_part(X),
-                             tol=solve_tol, max_iter=5000)
+                             tol=1e-12, max_iter=5000)
 
     dA, H = _random_directions(instance, trials, seed, real_case)
     w = 0  # the weighted norm of each direction, summed block by block

@@ -19,13 +19,9 @@ from .solver import EquationInstance
 Array = np.ndarray
 
 
-def tridiagonal_seed(n: int = 5) -> Array:
-    """The shared seed matrix: tridiagonal with 2 on and 1 off the diagonal."""
-    return (
-        2.0 * np.eye(n)
-        + np.diag(np.ones(n - 1), 1)
-        + np.diag(np.ones(n - 1), -1)
-    )
+def tridiagonal_seed() -> Array:
+    """The shared 5x5 seed matrix: tridiagonal with 2 on and 1 off the diagonal."""
+    return 2.0 * np.eye(5) + np.eye(5, k=1) + np.eye(5, k=-1)
 
 
 def _scaled_seed(coefficient: float) -> Array:
@@ -84,18 +80,6 @@ def benchmark2_random_directions(rng: np.random.Generator, count: int) -> Array:
     C = rng.standard_normal((count, 5, 5))
     S = C.swapaxes(-1, -2) + C
     return S / linalg.spectral_norm(S)[:, None, None]
-
-
-def benchmark2_random_deltas(j: int, rng: np.random.Generator) -> PerturbationSpec:
-    """One random perturbation draw for benchmark 2.
-
-    The symmetrized Gaussian direction is rescaled so the two perturbation
-    norms are exactly 10^-j and 3*10^-(j+1); every draw therefore produces
-    identical norm-driven bounds, only the true error varies.
-    """
-    S = benchmark2_random_directions(rng, 1)[0]
-    d1, d2 = benchmark2_delta_norms(j)
-    return PerturbationSpec(dA=[d1 * S, d2 * S], dQ=np.zeros((5, 5)))
 
 
 def benchmark2_deterministic_deltas(j: int) -> PerturbationSpec:

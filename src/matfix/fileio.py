@@ -155,26 +155,6 @@ def matrix_to_obj(M: Array) -> dict:
     return obj
 
 
-def write_instance(instance: EquationInstance, path) -> None:
-    doc = {
-        "n": instance.n,
-        "m": instance.m,
-        "Q": matrix_to_obj(instance.Q),
-        "A": [matrix_to_obj(Ai) for Ai in instance.A],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def write_delta(spec: PerturbationSpec, n: int, m: int, path) -> None:
-    doc = {
-        "n": n,
-        "m": m,
-        "dQ": matrix_to_obj(spec.dQ),
-        "dA": [matrix_to_obj(D) for D in spec.dA],
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
 def parse_single_matrix(path) -> Array:
     """A standalone matrix file: {"re": [[...]], "im": [[...]]} (im optional)."""
     doc = _load_json(path)

@@ -1,9 +1,10 @@
 """Dense complex matrix primitives: norms, eigen extremes, PSD certificates,
-triangular solves, vec machinery, the L-solve.
+triangular solves, real forms and Sym/Anti blocks, the L-solve.
 
 Conventions fixed project-wide:
 
-* ``vec`` stacks columns (column-major), so vec(A E B) = (B^T kron A) vec(E).
+* vec(E) stacks the columns of E (column-major), so
+  vec(A E B) = (B^T kron A) vec(E).
 * The spectral norm is the largest singular value, computed without an SVD:
   the matrix is scaled by its largest entry modulus, and the square root of
   the top eigenvalue of the Gram matrix of its shorter side (S S* or S* S)
@@ -36,7 +37,7 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
-def as_matrix(a, *, name: str = "matrix") -> Array:
+def as_matrix(a, *, name: str) -> Array:
     """Coerce input to a 2-D complex128 array and reject non-finite entries."""
     M = np.asarray(a, dtype=complex)
     if M.ndim != 2:
@@ -340,26 +341,6 @@ def solve_l(B, R: Array, rtol: float, max_matvecs: int) -> tuple[Array, bool]:
         promised = abs(g[k])  # the cycle's residual estimate
         res = b - apply(x)
         matvecs += 1
-
-
-def vec(M: Array) -> Array:
-    """Stack the columns of M into one vector (column-major)."""
-    return np.asarray(M).reshape(-1, order="F")
-
-
-def unvec(v: Array, n: int) -> Array:
-    """Inverse of :func:`vec` for an n x n matrix."""
-    return np.asarray(v).reshape((n, n), order="F")
-
-
-def vec_permutation(n: int) -> Array:
-    """The n^2 x n^2 permutation P with vec(E^T) = P vec(E) for every n x n E.
-
-    P is real, orthogonal, symmetric, and an involution.
-    """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    return np.eye(n * n)[np.arange(n * n).reshape(n, n).T.reshape(-1)]
 
 
 def real_form(M: Array, n: int) -> Array:

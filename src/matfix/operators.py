@@ -96,11 +96,6 @@ def require_dense_budget(n: int, m: int, entries: int) -> None:
         )
 
 
-def split_orders(n: int) -> tuple[int, int, int]:
-    """(s, a, N): the orders n(n+1)/2 and n(n-1)/2 of the Sym and Anti blocks, and N = n^2."""
-    return n * (n + 1) // 2, n * (n - 1) // 2, n * n
-
-
 def l_representation(B: tuple[Array, ...], n: int) -> Array:
     """I + sum(kron(B_i^T, B_i*)), in B's dtype; acts on vec(W) as vec(W + sum B_i* W B_i).
 
@@ -182,8 +177,7 @@ def gram_parts(
 
 def gram_parts_peak(n: int, m: int, real: bool) -> int:
     """float64 entries alive at the peak of forming the blocks of L_rep,
-    inverting them and :func:`gram_parts`: the dense work of :func:`build_bundle`,
-    and of :func:`matfix.conditioning.cond_real` without a bundle.
+    inverting them and :func:`gram_parts`: the dense work of :func:`build_bundle`.
 
     Complex data, in n^4 units: L_rep and one complex term (4); R^-1, the
     2m+1 Grams, the complex rows (2) and one B_i's two complex products
@@ -196,7 +190,7 @@ def gram_parts_peak(n: int, m: int, real: bool) -> int:
     """
     if not real:
         return (2 * m + 8) * n**4
-    s, a, N = split_orders(n)
+    s, a, N = n * (n + 1) // 2, n * (n - 1) // 2, n * n  # the orders of Ls, La and L_rep
     sym, anti, inv = (1 + m) * s * s, (1 + m) * a * a, s * s + a * a
     blocks = max(2 * N * N, N * N + s * s + 3 * a * a, 4 * s * s + a * a, 2 * s * s + 4 * a * a)
     grams = max(inv + sym + 3 * s * N, inv + sym + anti + 3 * a * N)
@@ -208,9 +202,9 @@ def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
 
     X is expected to be the (near-)converged positive definite solution; a
     singular L representation signals that it is not, and raises
-    :class:`SingularOperator`.
+    :class:`SingularOperator`.  A real X is inverted in real arithmetic.
     """
-    X = np.asarray(X, dtype=complex)
+    X = np.asarray(X)
     n = X.shape[0]
     Xinv = linalg.inverse(X)
     B = tuple(Xinv @ Ai for Ai in instance.A)
@@ -239,7 +233,7 @@ def build_bundle(instance: EquationInstance, X: Array) -> OperatorBundle:
     l = 1.0 / s_max
     G, c = parts[0]  # n_i = ||S-block of B_i||
     n_ops = tuple(float(linalg.gram_norm(G[1 + i], c[1 + i])) for i in range(len(B)))
-    theta_is = tuple(float(t) for t in linalg.spectral_norm(np.stack(B)))  # lone-call values
+    theta_is = tuple(linalg.spectral_norm(Bi) for Bi in B)
     theta = float(sum(t * t for t in theta_is))
     zeta = linalg.spectral_norm(Xinv)
     return OperatorBundle(

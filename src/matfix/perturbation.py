@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .bounds import ScalarBounds
-from .errors import ConditionViolated, NonzeroDeltaQ, SingularOperator
+from .errors import ConditionViolated, DimensionMismatch, NonzeroDeltaQ, SingularOperator
 from .operators import OperatorBundle
 from .solver import EquationInstance
 
@@ -49,12 +49,6 @@ class PerturbationSpec:
         object.__setattr__(self, "da_norms", tuple(linalg.spectral_norm(D) for D in dA))
         object.__setattr__(self, "dq_norm", linalg.spectral_norm(dQ))
 
-    @classmethod
-    def zero(cls, instance: EquationInstance) -> "PerturbationSpec":
-        n = instance.n
-        z = np.zeros((n, n))
-        return cls(dA=tuple(z.copy() for _ in range(instance.m)), dQ=z.copy())
-
 
 @dataclass(frozen=True)
 class ConditionValue:
@@ -74,6 +68,15 @@ class BoundReport:
 
 
 Terms = tuple[dict[str, float], dict[str, ConditionValue]]  # a bound's inputs, its conditions
+
+
+def _require_shapes(spec: PerturbationSpec, n: int, m: int) -> None:
+    """Raise :class:`DimensionMismatch` unless ``spec`` holds m dA_i and a dQ, all n x n."""
+    if len(spec.dA) != m or any(D.shape != (n, n) for D in (spec.dQ, *spec.dA)):
+        raise DimensionMismatch(
+            f"perturbation with {len(spec.dA)} dA_i of shapes {[D.shape for D in spec.dA]} "
+            f"and dQ of shape {spec.dQ.shape} does not match n={n}, m={m}"
+        )
 
 
 def _check(conditions: dict[str, ConditionValue], kind: str, echo: dict[str, float]) -> None:
@@ -107,6 +110,7 @@ def xi1(instance: EquationInstance, sb: ScalarBounds, spec: PerturbationSpec) ->
     is algebraically identical to the split rho/omega form but has no 0/0 at
     dA = 0.
     """
+    _require_shapes(spec, instance.n, instance.m)
     echo, conditions = _xi1_terms(sb, spec, [linalg.spectral_norm(Ai) for Ai in instance.A])
     _check(conditions, "xi1", echo)
     disc = conditions["discriminant"].value
@@ -143,6 +147,7 @@ def xi2(
     Needs sum||A_i||^2 < beta^2 and sum(||A_i|| + ||dA_i||)^2 < beta^2.
     X (the solved solution) supplies the denominator of the relative form.
     """
+    _require_shapes(spec, instance.n, instance.m)
     if spec.dq_norm != 0.0:
         raise NonzeroDeltaQ("xi2 covers coefficient perturbations only; got dQ != 0")
     norms_a, da = [linalg.spectral_norm(Ai) for Ai in instance.A], spec.da_norms
@@ -209,6 +214,7 @@ def xi3(
     Needs sigma < 1 and eps below the threshold
     l(1-sigma)^2 / (zeta (l + l sigma + 2 theta + 2 sqrt((l sigma + theta)(theta + l)))).
     """
+    _require_shapes(spec, instance.n, instance.m)
     norms_a = [linalg.spectral_norm(Ai) for Ai in instance.A]
     ing, conditions = _xi3_ingredients(bundle, spec, norms_a)
     _check(conditions, "xi3", ing)
@@ -243,6 +249,7 @@ def feasibility_table(
     con5 = 1 - sigma                             (> 0)  xi3's sigma_below_one
     con6 = eps threshold - eps                   (> 0)  xi3's eps_below_threshold
     """
+    _require_shapes(spec, instance.n, instance.m)
     norms_a = [linalg.spectral_norm(Ai) for Ai in instance.A]
     echo1, cond1 = _xi1_terms(sb, spec, norms_a)
     cond2 = _xi2_terms(sb, spec, norms_a)[1]
@@ -273,7 +280,9 @@ def first_order_delta(bundle: OperatorBundle, spec: PerturbationSpec) -> Array:
     returned only if its normwise backward error ||RHS - L(dX)|| /
     (||L|| ||dX|| + ||RHS||), with ||L|| = 1/l, is at most FIRST_ORDER_RTOL;
     otherwise :class:`SingularOperator` reports it and the relative residual.
+    With no coefficients (m = 0) the bundle holds no n, and dQ's order goes unchecked.
     """
+    _require_shapes(spec, bundle.n if bundle.B else spec.dQ.shape[0], len(bundle.B))
     RHS = spec.dQ
     for Bi, Di in zip(bundle.B, spec.dA):
         RHS = RHS + Bi.conj().T @ Di + Di.conj().T @ Bi

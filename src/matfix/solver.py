@@ -131,6 +131,12 @@ def validate(instance: EquationInstance) -> None:
     Raises the specific error when exactly one invariant fails, or a
     :class:`ValidationError` whose ``violations`` lists all failures.
     """
+    _raise(_violations(instance, True))
+
+
+def _violations(instance: EquationInstance, hermitian: bool) -> list[ValidationError]:
+    """The shape violations of ``instance`` and, if ``hermitian``, those of Q's
+    conjugate symmetry and positive definiteness."""
     violations: list[ValidationError] = []
     n = instance.Q.shape[0]
     if instance.Q.shape[0] != instance.Q.shape[1]:
@@ -142,11 +148,16 @@ def validate(instance: EquationInstance) -> None:
             violations.append(
                 DimensionMismatch(f"A[{i}] has shape {Ai.shape}, expected ({n}, {n})")
             )
-    if instance.Q.shape[0] == instance.Q.shape[1]:
+    if hermitian and instance.Q.shape[0] == instance.Q.shape[1]:
         if not linalg.is_exactly_hermitian(instance.Q):
             violations.append(NotHermitian("Q is not Hermitian"))
         elif not linalg.is_positive_definite(instance.Q):
             violations.append(NotPositiveDefinite("Q is not positive definite"))
+    return violations
+
+
+def _raise(violations: list[ValidationError]) -> None:
+    """Raise the one violation, or a :class:`ValidationError` listing several."""
     if not violations:
         return
     if len(violations) == 1:
@@ -158,7 +169,8 @@ def validate(instance: EquationInstance) -> None:
 
 def _validate_stack(Q: Array, A: Array, hermitian: bool) -> None:
     """Check the stacks Q (k, n, n) and A (k, m, n, n) as the coercion to an
-    :class:`EquationInstance` and (Hermitian mode) :func:`validate` would.
+    :class:`EquationInstance` and :func:`validate` would; raw mode (not
+    ``hermitian``) skips conjugate symmetry and positive definiteness.
 
     Each test runs once on the whole stack: finite entries, the shapes, then
     conjugate symmetry and positive definiteness of every Q.  Only the first
@@ -167,10 +179,10 @@ def _validate_stack(Q: Array, A: Array, hermitian: bool) -> None:
     """
     if not (np.isfinite(Q).all() and np.isfinite(A).all()):
         ok = np.isfinite(Q).all(axis=(1, 2)) & np.isfinite(A).all(axis=(1, 2, 3))
-    elif not hermitian:
-        return
     elif Q.shape[2] != Q.shape[1] or A.shape[1] < 1 or A.shape[2:] != Q.shape[1:]:
         ok = np.zeros(len(Q), dtype=bool)  # the members share their shapes
+    elif not hermitian:
+        return
     else:
         symmetric, ok = Q == Q.conj().swapaxes(1, 2), linalg.is_positive_definite(Q)
         if ok.all() and symmetric.all():
@@ -178,9 +190,7 @@ def _validate_stack(Q: Array, A: Array, hermitian: bool) -> None:
         ok &= symmetric.all(axis=(1, 2))
     for j in np.flatnonzero(~ok)[:1]:
         try:
-            instance = EquationInstance(A[j], Q[j])
-            if hermitian:
-                validate(instance)
+            _raise(_violations(EquationInstance(A[j], Q[j]), hermitian))
         except (ValueError, ValidationError) as exc:
             if len(Q) == 1:
                 raise
@@ -354,7 +364,7 @@ def solve(
     restart trials, raw mode and the errors raised.
     """
     if len({Ai.shape for Ai in instance.A}) != 1:  # m = 0 or A_i of several shapes
-        validate(instance)  # names the fault
+        _raise(_violations(instance, not allow_nonhermitian))  # names the fault
     return solve_stack(instance.Q[None], np.array(instance.A)[None], settings,
                        allow_nonhermitian=allow_nonhermitian)[0]
 
@@ -405,9 +415,10 @@ def solve_stack(
     residual evaluated, rejected trials included; ``newton_steps`` counts
     the accepted Newton iterates.
 
-    With ``allow_nonhermitian`` the validation, re-symmetrization, positive
-    definiteness guards and the Newton phase are all skipped and the raw
-    iteration (LU solves, singular-value residual norm) is applied to the
+    With ``allow_nonhermitian`` the conjugate symmetry and positive
+    definiteness tests, re-symmetrization, positive definiteness guards and
+    the Newton phase are all skipped (the shapes are still checked) and the
+    raw iteration (LU solves, singular-value residual norm) is applied to the
     matrices exactly as given.
 
     Returns reports with ``converged=False`` when the iteration cap is hit.
@@ -539,9 +550,3 @@ def solve_stack(
                         converged=res_i < settings.tol, history=tuple(histories[i]),
                         newton_steps=phases.get(i, _Member()).newton_steps)
             for i, (Xi, res_i, its) in enumerate(finished)]
-
-
-def scalar_solution(a: list[complex] | tuple[complex, ...], q: float) -> float:
-    """Closed-form 1x1 solution x = (q + sqrt(q^2 + 4*sum|a_i|^2))/2."""
-    s = sum(abs(ai) ** 2 for ai in a)
-    return (q + np.sqrt(q * q + 4.0 * s)) / 2.0

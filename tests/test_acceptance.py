@@ -24,7 +24,6 @@ from matfix import (
     refined_interval,
     scalar_bounds,
     scalar_interval,
-    scalar_solution,
     solve,
     spectral_norm,
     xi1,
@@ -33,7 +32,6 @@ from matfix import (
 )
 from matfix.examples import (
     benchmark2_deterministic_deltas,
-    benchmark2_random_deltas,
     benchmark_instance,
     tridiagonal_seed,
 )
@@ -46,7 +44,7 @@ from matfix.reference_values import (
 )
 from matfix.operators import _structured_products, l_representation
 from matfix.solver import _hermitian_map
-from tests.conftest import make_random_instance
+from tests.conftest import benchmark2_random_deltas, make_random_instance, scalar_solution, unvec, vec
 
 
 def _line(criterion: int, ok: bool, detail: str) -> bool:
@@ -271,7 +269,6 @@ def test_criterion_6_property_suite():
     inst = make_random_instance(rng, n=3, m=2)
     X = solve(inst, SolveSettings(tol=1e-13, max_iter=3000)).X
     bundle = build_bundle(inst, X)
-    from matfix import unvec, vec
 
     worst_l = 0.0
     worst_p = 0.0

@@ -146,16 +146,16 @@ class TestRefinedInterval:
 class TestMembership:
     def test_lower_endpoint(self):
         box = MatrixInterval(lower=np.eye(2), upper=3 * np.eye(2))
-        assert membership(np.eye(2), box)
+        assert membership(np.eye(2), box, default_membership_tolerance(box))
 
     def test_above_upper(self):
         box = MatrixInterval(lower=np.eye(2), upper=3 * np.eye(2))
-        assert not membership(4 * np.eye(2), box)
+        assert not membership(4 * np.eye(2), box, default_membership_tolerance(box))
 
     def test_dimension_mismatch(self):
         box = MatrixInterval(lower=np.eye(2), upper=3 * np.eye(2))
         with pytest.raises(ValueError):
-            membership(np.eye(3), box)
+            membership(np.eye(3), box, default_membership_tolerance(box))
 
     def test_solution_in_all_three_intervals(self, rng):
         for _ in range(5):
@@ -197,7 +197,7 @@ class TestMembershipCertificate:
         verdicts = []
         for X, interval, tol in cases:
             t = default_membership_tolerance(interval) if tol is None else tol
-            verdicts.append(membership(X, interval, tol))
+            verdicts.append(membership(X, interval, t))
             assert verdicts[-1] == eigenvalue_membership(X, interval, t)
         assert verdicts.count(False) == 1
 

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matfix import SolveSettings, cli, solve
+from matfix import EquationInstance, SolveSettings, cli, solve
 from matfix.bounds import coarse_interval, default_membership_tolerance
 from matfix.cli import main
 from matfix.fileio import parse_instance
+from tests.conftest import write_delta, write_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDENS = Path(__file__).parent / "goldens"
@@ -144,14 +145,6 @@ class TestSolveCommand:
         assert doc["report"]["solve"]["newton_steps"] == 0
 
 
-def write_instance(path, A, Q):
-    path.write_text(json.dumps({
-        "n": Q.shape[0], "m": len(A), "Q": {"re": Q.real.tolist(), "im": Q.imag.tolist()},
-        "A": [{"re": Ai.real.tolist(), "im": Ai.imag.tolist()} for Ai in A],
-    }))
-    return str(path)
-
-
 class TestSolveEigensolves:
     def test_mild_n128_makes_iterations_plus_two(self, capsys, tmp_path, monkeypatch):
         # one eigensolve per residual, one for Q's validation, one for the
@@ -162,7 +155,7 @@ class TestSolveEigensolves:
         for _ in range(2):
             G = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
             A.append(0.3 * G / np.linalg.norm(G, 2))
-        path = write_instance(tmp_path / "mild.json", A, np.eye(128, dtype=complex))
+        path = write_instance(EquationInstance(A=A, Q=np.eye(128)), tmp_path / "mild.json")
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(None) or eigvalsh(*a, **k))
@@ -180,7 +173,8 @@ class TestSolveEigensolves:
         # whether or not its first term's eigensolve is made; at data scale 1e8
         # with tol 1e-12 the first term wins
         inst = parse_instance(FIXTURES / f"example{k}.json")
-        path = write_instance(tmp_path / "data.json", [scale * Ai for Ai in inst.A], scale * inst.Q)
+        path = write_instance(EquationInstance(A=[scale * Ai for Ai in inst.A], Q=scale * inst.Q),
+                              tmp_path / "data.json")
         code, doc, _ = run_structured(capsys, "solve", path, "--tol", tol)
         report = doc["report"]
         inst = parse_instance(path)
@@ -312,8 +306,7 @@ class TestAnalyzeCommand:
     def test_missed_l_solve_exits_through_singular_operator(self, capsys, tmp_path, monkeypatch):
         # first_order_delta never returns an unconverged dX: one product of L
         # is far from the tolerance, and analyze exits 2 with the named error
-        from matfix import EquationInstance, PerturbationSpec
-        from matfix.fileio import write_delta, write_instance
+        from matfix import PerturbationSpec
 
         rng = np.random.default_rng(6)
         A = []
@@ -324,7 +317,7 @@ class TestAnalyzeCommand:
         H = rng.standard_normal((6, 6))
         dA = [1e-6 * rng.standard_normal((6, 6)) for _ in range(2)]
         spec = PerturbationSpec(dA=dA, dQ=1e-6 * (H + H.T))
-        write_delta(spec, 6, 2, tmp_path / "delta.json")
+        write_delta(spec, tmp_path / "delta.json")
         argv = ("analyze", str(tmp_path / "inst.json"), str(tmp_path / "delta.json"))
         code, _, err = run_cli(capsys, *argv)
         assert code in (0, 3), err

@@ -16,11 +16,10 @@ from matfix import (
     PerturbationSpec,
     solve,
     spectral_norm,
-    vec_permutation,
 )
 from matfix.examples import benchmark_instance
 from matfix.reference_values import BENCHMARK4_CONDITION
-from tests.conftest import make_random_instance, operator_matrix_by_basis, solve_tight
+from tests.conftest import make_random_instance, operator_matrix_by_basis, solve_tight, vec_permutation
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 

@@ -12,9 +12,8 @@ from matfix.fileio import (
     parse_delta,
     parse_instance,
     parse_single_matrix,
-    write_delta,
-    write_instance,
 )
+from tests.conftest import write_delta, write_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -39,7 +38,7 @@ class TestRoundTrip:
         inst = parse_instance(FIXTURES / "example2.json")
         spec = parse_delta(FIXTURES / "delta_j7.json", inst)
         out = tmp_path / "d.json"
-        write_delta(spec, 5, 2, out)
+        write_delta(spec, out)
         again = parse_delta(out, inst)
         assert np.array_equal(spec.dQ, again.dQ)
         for a, b in zip(spec.dA, again.dA):

@@ -13,9 +13,6 @@ from matfix import (
     inverse,
     is_positive_definite,
     spectral_norm,
-    unvec,
-    vec,
-    vec_permutation,
 )
 from matfix.examples import BENCHMARK4_Q, tridiagonal_seed
 from matfix.linalg import (
@@ -28,6 +25,7 @@ from matfix.linalg import (
     sym_anti_blocks,
     sym_anti_rows,
 )
+from tests.conftest import unvec, vec, vec_permutation
 
 EPS = np.finfo(float).eps
 

@@ -16,14 +16,11 @@ from matfix import (
     first_order_delta,
     hermitian_part,
     inverse,
-    unvec,
-    vec,
-    vec_permutation,
 )
 from matfix.conditioning import _sum_peak
 from matfix.linalg import apply_l, complex_form, real_form
 from matfix.operators import DENSE_BUDGET_BYTES, _structured_products, gram_parts_peak, l_representation
-from tests.conftest import make_random_instance, operator_matrix_by_basis, solve_tight
+from tests.conftest import make_random_instance, operator_matrix_by_basis, solve_tight, unvec, vec, vec_permutation
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 

@@ -5,6 +5,7 @@ import pytest
 
 from matfix import (
     ConditionViolated,
+    DimensionMismatch,
     EquationInstance,
     NonzeroDeltaQ,
     PerturbationSpec,
@@ -17,8 +18,6 @@ from matfix import (
     scalar_bounds,
     solve,
     spectral_norm,
-    unvec,
-    vec,
     xi1,
     xi2,
     xi3,
@@ -30,7 +29,7 @@ from matfix.examples import (
     benchmark2_deterministic_deltas,
     benchmark_instance,
 )
-from tests.conftest import make_random_instance, operator_matrix_by_basis, solve_tight
+from tests.conftest import make_random_instance, operator_matrix_by_basis, solve_tight, unvec, vec, zero_spec
 
 GOLDEN = (1 + np.sqrt(5)) / 2
 
@@ -61,12 +60,30 @@ class TestPerturbationSpec:
         assert spec.da_norms == tuple(spectral_norm(D) for D in dA)
         assert spec.dq_norm == spectral_norm(dQ)
 
+    @pytest.mark.parametrize("dA, dQ", [([1e-7 * np.eye(5)] * 3, np.zeros((5, 5))),
+                                         ([1e-7 * np.eye(5)], np.zeros((5, 5))),
+                                         ([1e-7 * np.eye(5)] * 2, np.zeros((4, 4))),
+                                         ([1e-7 * np.eye(5), np.zeros((5, 4))], np.zeros((5, 5)))])
+    def test_other_shapes_rejected_by_every_function(self, dA, dQ):
+        # benchmark 1 has n = 5, m = 2: a spec of another m or order is refused,
+        # not truncated or padded
+        inst = benchmark_instance(1)
+        X = solve_tight(inst)
+        sb, bundle = scalar_bounds(inst), build_bundle(inst, X)
+        spec = PerturbationSpec(dA=dA, dQ=dQ)
+        for call in (lambda: xi1(inst, sb, spec), lambda: xi2(inst, sb, spec, X),
+                     lambda: xi3(inst, X, bundle, spec),
+                     lambda: feasibility_table(inst, sb, bundle, spec),
+                     lambda: first_order_delta(bundle, spec)):
+            with pytest.raises(DimensionMismatch, match="does not match n=5, m=2"):
+                call()
+
 
 class TestXi1:
     def test_zero_perturbation(self):
         inst = benchmark_instance(2)
         sb = scalar_bounds(inst)
-        rep = xi1(inst, sb, PerturbationSpec.zero(inst))
+        rep = xi1(inst, sb, zero_spec(inst))
         assert rep.relative_bound == 0.0
         assert rep.absolute_bound is None
         assert all(cv.passed for cv in rep.conditions.values())
@@ -77,7 +94,7 @@ class TestXi1:
         inst = EquationInstance(A=[np.array([[0.0, 2.0], [0.0, 0.0]])], Q=np.eye(2))
         sb = scalar_bounds(inst)
         with pytest.raises(ConditionViolated) as exc:
-            xi1(inst, sb, PerturbationSpec.zero(inst))
+            xi1(inst, sb, zero_spec(inst))
         assert exc.value.name == "b_positive"
         assert "b" in exc.value.values
 
@@ -125,7 +142,7 @@ class TestXi2:
         inst = benchmark_instance(2)
         sb = scalar_bounds(inst)
         X = solve_tight(inst)
-        rep = xi2(inst, sb, PerturbationSpec.zero(inst), X)
+        rep = xi2(inst, sb, zero_spec(inst), X)
         assert rep.relative_bound == 0.0 and rep.absolute_bound == 0.0
 
     def test_rejects_dq(self):
@@ -143,7 +160,7 @@ class TestXi2:
         sb = scalar_bounds(inst)
         X = solve_tight(inst)
         with pytest.raises(ConditionViolated):
-            xi2(inst, sb, PerturbationSpec.zero(inst), X)
+            xi2(inst, sb, zero_spec(inst), X)
 
     def test_scalar_domination(self):
         inst, sb, X, _ = scalar_setup(a=0.4, q=1.0)
@@ -161,7 +178,7 @@ class TestXi3:
         inst = benchmark_instance(2)
         X = solve_tight(inst)
         bundle = build_bundle(inst, X)
-        rep = xi3(inst, X, bundle, PerturbationSpec.zero(inst))
+        rep = xi3(inst, X, bundle, zero_spec(inst))
         assert rep.absolute_bound == 0.0 and rep.relative_bound == 0.0
         assert rep.inputs_echo["sigma"] == 0.0 and rep.inputs_echo["eps"] == 0.0
 
@@ -234,7 +251,7 @@ class TestFeasibilityTable:
         sb = scalar_bounds(inst)
         X = solve_tight(inst)
         bundle = build_bundle(inst, X)
-        feas = feasibility_table(inst, sb, bundle, PerturbationSpec.zero(inst))
+        feas = feasibility_table(inst, sb, bundle, zero_spec(inst))
         assert feas["con3"].value == pytest.approx(feas["con2"].value ** 2, rel=1e-12)
 
     def test_con1_plus_con2_is_two_beta_squared(self):
@@ -252,7 +269,7 @@ class TestFeasibilityTable:
         sb = scalar_bounds(inst)
         X = solve_tight(inst)
         bundle = build_bundle(inst, X)
-        feas = feasibility_table(inst, sb, bundle, PerturbationSpec.zero(inst))
+        feas = feasibility_table(inst, sb, bundle, zero_spec(inst))
         assert not feas["con2"].passed  # sum||A||^2 > beta^2 here
         assert set(feas) == {"con1", "con2", "con3", "con4", "con5", "con6"}
 
@@ -306,7 +323,7 @@ class TestFeasibilityIsTheBoundsOwnConditions:
         inst = EquationInstance(A=[np.array([[0.0, 2.0], [0.0, 0.0]])], Q=np.eye(2))
         X = solve_tight(inst)
         sb, bundle = scalar_bounds(inst), build_bundle(inst, X)
-        spec = PerturbationSpec.zero(inst)
+        spec = zero_spec(inst)
         table = feasibility_table(inst, sb, bundle, spec)
         found = _bound_conditions(inst, sb, X, bundle, spec)
         assert {"con2", "con5", "con6"} <= set(found)
@@ -331,7 +348,7 @@ class TestFirstOrderDelta:
         inst = benchmark_instance(2)
         X = solve_tight(inst)
         bundle = build_bundle(inst, X)
-        dX = first_order_delta(bundle, PerturbationSpec.zero(inst))
+        dX = first_order_delta(bundle, zero_spec(inst))
         assert np.allclose(dX, 0.0)
 
     def test_matches_lu_solve(self):

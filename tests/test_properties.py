@@ -6,8 +6,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from matfix import EquationInstance, SolveSettings, solve, solve_stack, vec_permutation  # noqa: E402
-from tests.conftest import assert_same_report  # noqa: E402
+from matfix import EquationInstance, SolveSettings, solve, solve_stack  # noqa: E402
+from tests.conftest import assert_same_report, vec_permutation  # noqa: E402
 
 
 @settings(max_examples=25, deadline=None)

@@ -16,7 +16,6 @@ from matfix import (
     ValidationError,
     backward_bound,
     is_positive_definite,
-    scalar_solution,
     solve,
     solve_stack,
     spectral_norm,
@@ -29,7 +28,7 @@ from matfix.examples import benchmark_instance
 from matfix.fileio import parse_instance
 from matfix.operators import l_representation
 from matfix.reference_values import BENCHMARK1
-from tests.conftest import assert_same_report, make_random_instance
+from tests.conftest import assert_same_report, make_random_instance, scalar_solution, unvec, vec
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -177,6 +176,16 @@ class TestSolve:
         for inst, message in cases:
             with pytest.raises(DimensionMismatch, match=f"^{message}$"):
                 solve(inst, allow_nonhermitian=allow_nonhermitian)
+
+    @pytest.mark.parametrize("allow_nonhermitian", [False, True])
+    def test_shapes_checked_in_both_modes(self, allow_nonhermitian):
+        # raw mode skips only the Hermitian and definiteness tests, not the shapes
+        cases = [([np.ones((2, 3))], np.eye(2), r"A\[0\] has shape \(2, 3\), expected \(2, 2\)"),
+                 ([np.eye(2)], np.eye(3), r"A\[0\] has shape \(2, 2\), expected \(3, 3\)"),
+                 ([np.eye(2)], np.ones((2, 3)), r"Q must be square, got \(2, 3\)")]
+        for A, Q, message in cases:
+            with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+                solve(EquationInstance(A=A, Q=Q), allow_nonhermitian=allow_nonhermitian)
 
     def test_non_pd_x0_rejected(self):
         inst = benchmark_instance(1)
@@ -380,7 +389,7 @@ class TestNewtonGmres:
         E, solved = linalg.solve_l(B, R, 1e-13, 10_000)
         assert solved
         assert linalg.is_exactly_hermitian(E)
-        ref = linalg.unvec(np.linalg.solve(l_representation(B, n), linalg.vec(R)), n)
+        ref = unvec(np.linalg.solve(l_representation(B, n), vec(R)), n)
         assert np.abs(E - ref).max() <= 1e-11 * np.abs(ref).max()
 
     def test_restarted_run_matches_dense_solve(self, count_l_actions):
@@ -391,7 +400,7 @@ class TestNewtonGmres:
         E, solved = linalg.solve_l(B, R, 1e-13, 10_000)
         assert solved
         assert len(count_l_actions) > linalg._GMRES_RESTART + 1  # restarted
-        ref = linalg.unvec(np.linalg.solve(l_representation(B, n), linalg.vec(R)), n)
+        ref = unvec(np.linalg.solve(l_representation(B, n), vec(R)), n)
         assert np.abs(E - ref).max() <= 1e-11 * np.abs(ref).max()
 
     def test_cap_stops_gmres(self, count_l_actions):
